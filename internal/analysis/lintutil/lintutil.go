@@ -217,6 +217,11 @@ var SimPackages = map[string]bool{
 	"cenju4/internal/network":   true,
 	"cenju4/internal/directory": true,
 	"cenju4/internal/npb":       true,
+	// The processor model and the shared-memory library decide which
+	// addresses a run touches and when: the op stream, its timing and
+	// every home placement.
+	"cenju4/internal/cpu":   true,
+	"cenju4/internal/shmem": true,
 	// The PDES coordinator must be bit-deterministic by construction:
 	// its whole contract is that a K-sharded run digests identically to
 	// the sequential kernel, so it gets the strict simulation rules.

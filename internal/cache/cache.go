@@ -239,6 +239,17 @@ func (c *Cache) Access(addr topology.Addr, store bool) (LineState, bool) {
 	}
 }
 
+// Rehit counts a processor hit that the caller resolved without a
+// lookup: a repeat load, or a repeat store to a Modified line, of a
+// block it knows is still at the front of its set. Access would have
+// changed nothing but this counter.
+//
+//cenju4:hotpath
+func (c *Cache) Rehit() { c.stats.Hits++ }
+
+// SameSet reports whether a and b map to the same cache set.
+func (c *Cache) SameSet(a, b topology.Addr) bool { return c.setIndex(a) == c.setIndex(b) }
+
 // SetState changes the coherence state of a resident block (used by the
 // protocol modules: invalidations, downgrades, upgrade completions). It
 // is a no-op when the block is absent — an invalidation can legally

@@ -41,18 +41,27 @@ const (
 	OpAllReduce
 )
 
-// Op is one program operation.
+// Op is one program operation. The fields run widest first so an Op
+// packs into 24 bytes.
 type Op struct {
-	Kind OpKind
 	Addr topology.Addr
 	N    uint64
 	Dst  topology.NodeID
+	Kind OpKind
 }
 
-// Program supplies a node's operation stream. Next returns false when
-// the program is finished. Programs are single-use iterators.
+// MinFill is the smallest buffer a processor passes to Program.Fill:
+// room for one whole loop body of the npb generators (at most three
+// ops), so a generator never has to split one.
+const MinFill = 4
+
+// Program supplies a node's operation stream in batches. Fill writes
+// the next ops into buf (len(buf) >= MinFill) and returns how many it
+// wrote; 0 means the program has finished. Programs are single-use
+// pure generators: what they emit must not depend on simulation
+// state, because the processor fetches ops ahead of executing them.
 type Program interface {
-	Next() (Op, bool)
+	Fill(buf []Op) int
 }
 
 // SliceProgram adapts a materialized op slice (used by tests and small
@@ -62,19 +71,12 @@ type SliceProgram struct {
 	pos int
 }
 
-func (p *SliceProgram) Next() (Op, bool) {
-	if p.pos >= len(p.Ops) {
-		return Op{}, false
-	}
-	op := p.Ops[p.pos]
-	p.pos++
-	return op, true
+//cenju4:hotpath
+func (p *SliceProgram) Fill(buf []Op) int {
+	n := copy(buf, p.Ops[p.pos:])
+	p.pos += n
+	return n
 }
-
-// FuncProgram adapts a generator function.
-type FuncProgram func() (Op, bool)
-
-func (f FuncProgram) Next() (Op, bool) { return f() }
 
 // Sync provides the blocking synchronization and message-passing
 // operations (implemented by the mpi package). Collectives match up by
@@ -135,6 +137,13 @@ type CPU struct {
 	stats Stats
 	done  func()
 
+	// ops[opPos:opLen] are fetched but not yet executed. The buffer
+	// outlives step calls, which is safe because programs are pure
+	// generators (see Program).
+	ops   [opBufLen]Op
+	opPos int
+	opLen int
+
 	// Blocking-op scratch for the static event callbacks below: at most
 	// one blocking miss / finish / quantum event is outstanding per CPU
 	// (step returns after scheduling one), so a single set of fields
@@ -144,6 +153,10 @@ type CPU struct {
 	pendAcc   sim.Time
 	resumeFn  func() // allocated once: the controller's done callback
 }
+
+// opBufLen is the op-buffer size: two cache blocks of a streaming
+// phase per Fill call.
+const opBufLen = 32
 
 // Config parameterizes a CPU.
 type Config struct {
@@ -203,20 +216,34 @@ func (c *CPU) Stats() Stats { return c.stats }
 func (c *CPU) Run(prog Program, done func()) {
 	c.prog = prog
 	c.done = done
+	c.opPos, c.opLen = 0, 0
 	c.eng.After(0, c.resumeFn)
 }
 
 // step consumes operations until the processor must block or its
-// quantum expires.
+// quantum expires (checked after compute and send ops only).
+//
+// No event runs inside one step call, so a block this step has just
+// accessed is still at the front of its cache set, in the state the
+// access left it. memo remembers the last two such blocks: a load to
+// either, or a store to one that is Modified, is a hit that changes
+// nothing in the cache, so it skips the lookup. The memo dies with the
+// call.
 func (c *CPU) step() {
 	var acc sim.Time
+	var memo hitMemo
+	ca := c.ctrl.Cache()
 	for {
-		op, ok := c.prog.Next()
-		if !ok {
-			c.pendAcc = acc
-			c.eng.AtCall(c.eng.Now()+acc, cpuFinish, c)
-			return
+		if c.opPos == c.opLen {
+			c.opPos, c.opLen = 0, c.prog.Fill(c.ops[:])
+			if c.opLen == 0 {
+				c.pendAcc = acc
+				c.eng.AtCall(c.eng.Now()+acc, cpuFinish, c)
+				return
+			}
 		}
+		op := c.ops[c.opPos]
+		c.opPos++
 		switch op.Kind {
 		case OpCompute:
 			c.stats.Instructions += op.N
@@ -226,26 +253,41 @@ func (c *CPU) step() {
 			c.stats.Instructions++
 			c.stats.MemAccesses++
 			store := op.Kind == OpStore
-			if !op.Addr.Shared() {
+			shared := op.Addr.Shared()
+			local := shared && op.Addr.Home() == c.node
+			switch {
+			case !shared:
 				c.stats.PrivateAccesses++
-				if hit := c.privateAccess(op.Addr, store); hit {
+			case local:
+				c.stats.LocalAccesses++
+			default:
+				c.stats.RemoteAccesses++
+			}
+			block := op.Addr.Block()
+			if memo.hit(block, store) {
+				ca.Rehit()
+				if shared {
+					c.ctrl.NoteAccessHit(op.Addr, store)
+				}
+				acc += c.params.CacheHit
+				continue
+			}
+			if !shared {
+				st, hit := c.privateAccess(op.Addr, store)
+				if hit {
 					acc += c.params.CacheHit
 				} else {
 					c.stats.Misses++
 					c.stats.PrivateMisses++
 					acc += c.params.ProcOverhead + c.params.MemAccess
 				}
+				memo.remember(ca, block, st, store)
 				continue
 			}
-			local := op.Addr.Home() == c.node
-			if local {
-				c.stats.LocalAccesses++
-			} else {
-				c.stats.RemoteAccesses++
-			}
-			if _, hit := c.ctrl.Cache().Access(op.Addr, store); hit {
+			if st, hit := ca.Access(op.Addr, store); hit {
 				c.ctrl.NoteAccessHit(op.Addr, store)
 				acc += c.params.CacheHit
+				memo.remember(ca, block, st, store)
 				continue
 			}
 			c.stats.Misses++
@@ -288,6 +330,45 @@ func (c *CPU) step() {
 	}
 }
 
+// hitMemo holds up to two blocks with the state each was left in, most
+// recent first; an Invalid entry is empty. The two are never in the
+// same cache set, so an access that moves a block to the front of a set
+// replaces at most the entry for that set.
+type hitMemo [2]struct {
+	block topology.Addr
+	st    cache.LineState
+}
+
+// hit reports whether an access to block is a memoized no-change hit,
+// and makes a matching second entry the most recent.
+//
+//cenju4:hotpath
+func (m *hitMemo) hit(block topology.Addr, store bool) bool {
+	for i, e := range m {
+		if e.block != block || e.st == cache.Invalid || store && e.st != cache.Modified {
+			continue
+		}
+		if i == 1 {
+			m[0], m[1] = m[1], m[0]
+		}
+		return true
+	}
+	return false
+}
+
+// remember records that an access has just left block at the front of
+// its set, in state st or, after a store, Modified. It drops the entry
+// for the same set or else the older entry.
+func (m *hitMemo) remember(ca *cache.Cache, block topology.Addr, st cache.LineState, store bool) {
+	if store {
+		st = cache.Modified
+	}
+	if m[0].st != cache.Invalid && !ca.SameSet(m[0].block, block) {
+		m[1] = m[0]
+	}
+	m[0].block, m[0].st = block, st
+}
+
 // blockOnSync charges accumulated busy time, then enters a sync wait
 // whose duration counts as synchronization time.
 func (c *CPU) blockOnSync(acc sim.Time, enter func(done func())) {
@@ -325,16 +406,17 @@ func cpuFinish(a any) {
 // privateAccess simulates the private-memory hierarchy: private blocks
 // live in the same secondary cache; evicted shared victims raise
 // writebacks through the controller, evicted private victims cost
-// nothing extra (their writeback is local and overlapped).
-func (c *CPU) privateAccess(addr topology.Addr, store bool) bool {
+// nothing extra (their writeback is local and overlapped). Like
+// Cache.Access it returns the line's state before a hit; after a miss,
+// the state the block was inserted in.
+func (c *CPU) privateAccess(addr topology.Addr, store bool) (cache.LineState, bool) {
 	st, hit := c.ctrl.Cache().Access(addr, store)
 	if hit {
-		return true
+		return st, true
 	}
 	// Private blocks never need ownership transactions: a store "miss"
 	// on a Shared-state private line cannot occur (they are inserted
 	// Exclusive/Modified), so st is Invalid here.
-	_ = st
 	ins := cache.Modified
 	if !store {
 		ins = cache.Exclusive
@@ -342,5 +424,5 @@ func (c *CPU) privateAccess(addr topology.Addr, store bool) bool {
 	if v := c.ctrl.Cache().Insert(addr, ins); v.Writeback && v.Addr.Shared() {
 		c.ctrl.EvictShared(v.Addr)
 	}
-	return false
+	return ins, false
 }

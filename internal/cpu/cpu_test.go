@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"cenju4/internal/core"
 	"cenju4/internal/network"
@@ -125,21 +126,53 @@ func TestUnknownOpPanics(t *testing.T) {
 	eng.Run()
 }
 
+// countdown is a hand-written Program: it emits remaining single
+// compute ops, at most two per Fill.
+type countdown struct{ remaining int }
+
+func (p *countdown) Fill(buf []Op) int {
+	n := 0
+	for n < 2 && p.remaining > 0 {
+		buf[n] = Op{Kind: OpCompute, N: 1}
+		n++
+		p.remaining--
+	}
+	return n
+}
+
+// TestFuncProgram runs a hand-written Program through the CPU and
+// drains a SliceProgram in MinFill-sized batches.
 func TestFuncProgram(t *testing.T) {
 	c, eng, _ := newCPU(t)
-	n := 0
-	prog := FuncProgram(func() (Op, bool) {
-		if n >= 5 {
-			return Op{}, false
-		}
-		n++
-		return Op{Kind: OpCompute, N: 1}, true
-	})
 	done := false
-	c.Run(prog, func() { done = true })
+	c.Run(&countdown{remaining: 5}, func() { done = true })
 	eng.Run()
 	if !done || c.Stats().Instructions != 5 {
 		t.Fatalf("instructions = %d", c.Stats().Instructions)
+	}
+
+	ops := make([]Op, 5)
+	for i := range ops {
+		ops[i] = Op{Kind: OpCompute, N: uint64(i)}
+	}
+	p := &SliceProgram{Ops: ops}
+	buf := make([]Op, MinFill)
+	var got []Op
+	for {
+		n := p.Fill(buf)
+		if n == 0 {
+			break
+		}
+		got = append(got, buf[:n]...)
+	}
+	if len(got) != len(ops) || got[4] != ops[4] {
+		t.Fatalf("SliceProgram filled %v, want %v", got, ops)
+	}
+}
+
+func TestOpSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Op{}); sz != 24 {
+		t.Fatalf("sizeof(Op) = %d, want 24", sz)
 	}
 }
 

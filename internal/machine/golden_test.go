@@ -99,19 +99,48 @@ func runGolden(c goldenCase) string {
 }
 
 func TestGoldenDigests(t *testing.T) {
-	path := filepath.Join("testdata", "golden_digests.txt")
+	cases := goldenMatrix()
+	names := make([]string, len(cases))
+	for i, c := range cases {
+		names[i] = c.name
+	}
+	want := goldenFile(t, filepath.Join("testdata", "golden_digests.txt"),
+		"machine.Result digests for the golden config/seed matrix.",
+		"TestGoldenDigests", names, func(i int) string { return runGolden(cases[i]) })
+	if want == nil {
+		return
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			if !testing.Short() {
+				t.Parallel() // each case owns its machine; digests are per-case
+			}
+			if got := runGolden(c); got != want[c.name] {
+				t.Errorf("digest %s\n     want %s\nsimulation outcome changed; if intentional, regenerate with UPDATE_GOLDEN=1 and explain in the commit", got, want[c.name])
+			}
+		})
+	}
+}
+
+// goldenFile returns the "name digest" entries of a golden file and
+// fails the test unless they cover exactly names. With UPDATE_GOLDEN
+// set it instead rewrites the file from run(i) for every names[i] and
+// returns nil, so the caller skips its comparisons.
+func goldenFile(t *testing.T, path, title, testName string, names []string, run func(i int) string) map[string]string {
+	t.Helper()
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		var b strings.Builder
-		b.WriteString("# machine.Result digests for the golden config/seed matrix.\n")
-		b.WriteString("# Regenerate: UPDATE_GOLDEN=1 go test ./internal/machine -run TestGoldenDigests\n")
-		for _, c := range goldenMatrix() {
-			fmt.Fprintf(&b, "%s %s\n", c.name, runGolden(c))
+		fmt.Fprintf(&b, "# %s\n", title)
+		fmt.Fprintf(&b, "# Regenerate: UPDATE_GOLDEN=1 go test ./internal/machine -run %s\n", testName)
+		for i, name := range names {
+			fmt.Fprintf(&b, "%s %s\n", name, run(i))
 		}
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s", path)
-		return
+		return nil
 	}
 
 	f, err := os.Open(path)
@@ -135,27 +164,15 @@ func TestGoldenDigests(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-
-	cases := goldenMatrix()
-	if len(want) != len(cases) {
-		t.Fatalf("golden file has %d entries, matrix has %d — regenerate", len(want), len(cases))
+	if len(want) != len(names) {
+		t.Fatalf("golden file %s has %d entries, matrix has %d — regenerate", path, len(want), len(names))
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			if !testing.Short() {
-				t.Parallel() // each case owns its machine; digests are per-case
-			}
-			got := runGolden(c)
-			w, ok := want[c.name]
-			if !ok {
-				t.Fatalf("no golden entry for %s — regenerate", c.name)
-			}
-			if got != w {
-				t.Errorf("digest %s\n     want %s\nsimulation outcome changed; if intentional, regenerate with UPDATE_GOLDEN=1 and explain in the commit", got, w)
-			}
-		})
+	for _, name := range names {
+		if _, ok := want[name]; !ok {
+			t.Fatalf("no golden entry for %s in %s — regenerate", name, path)
+		}
 	}
+	return want
 }
 
 // TestDigestSensitivity: the digest must differ across distinct

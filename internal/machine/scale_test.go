@@ -24,12 +24,8 @@ package machine
 //	UPDATE_GOLDEN=1 go test ./internal/machine -run TestScaleGoldenDigests
 
 import (
-	"bufio"
 	"context"
-	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -100,58 +96,23 @@ func TestScaleGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node runs are seconds each; skipped under -short")
 	}
-	path := filepath.Join("testdata", "golden_scale.txt")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		var b strings.Builder
-		b.WriteString("# machine.Result digests for the 1024-node scale matrix.\n")
-		b.WriteString("# Regenerate: UPDATE_GOLDEN=1 go test ./internal/machine -run TestScaleGoldenDigests\n")
-		for _, c := range scaleMatrix() {
-			fmt.Fprintf(&b, "%s %s\n", c.name, runScale(t, c))
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	defer f.Close()
-	want := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, digest, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		want[name] = digest
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-
 	cases := scaleMatrix()
-	if len(want) != len(cases) {
-		t.Fatalf("golden file has %d entries, matrix has %d — regenerate", len(want), len(cases))
+	names := make([]string, len(cases))
+	for i, c := range cases {
+		names[i] = c.name
+	}
+	want := goldenFile(t, filepath.Join("testdata", "golden_scale.txt"),
+		"machine.Result digests for the 1024-node scale matrix.",
+		"TestScaleGoldenDigests", names, func(i int) string { return runScale(t, cases[i]) })
+	if want == nil {
+		return
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel() // each case owns its machine; digests are per-case
-			got := runScale(t, c)
-			w, ok := want[c.name]
-			if !ok {
-				t.Fatalf("no golden entry for %s — regenerate", c.name)
-			}
-			if got != w {
-				t.Errorf("digest %s\n     want %s\n1024-node outcome changed; if intentional, regenerate with UPDATE_GOLDEN=1 and explain in the commit", got, w)
+			if got := runScale(t, c); got != want[c.name] {
+				t.Errorf("digest %s\n     want %s\n1024-node outcome changed; if intentional, regenerate with UPDATE_GOLDEN=1 and explain in the commit", got, want[c.name])
 			}
 		})
 	}
@@ -216,13 +177,10 @@ type loopProgram struct {
 	pos int
 }
 
-func (p *loopProgram) Next() (cpu.Op, bool) {
-	if p.pos >= len(p.ops) {
-		return cpu.Op{}, false
-	}
-	op := p.ops[p.pos]
-	p.pos++
-	return op, true
+func (p *loopProgram) Fill(buf []cpu.Op) int {
+	n := copy(buf, p.ops[p.pos:])
+	p.pos += n
+	return n
 }
 
 // TestSteadyStateProtocolAllocs pins the allocation discipline of the

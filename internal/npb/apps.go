@@ -48,7 +48,7 @@ func buildGridSolver(opts Options, alloc *shmem.Allocator, points int, gp gridPa
 		node := topology.NodeID(n)
 		lo, hi := u.OwnerRange(node)
 		nextStart := ((n + 1) % p) * npp
-		progs[n] = program(opts.Iterations, func(iter int) []phase {
+		progs[n] = &program{iters: opts.Iterations, build: func(iter int) []phase {
 			pass := iter * passes
 			var ph []phase
 			switch opts.Variant {
@@ -65,10 +65,10 @@ func buildGridSolver(opts Options, alloc *shmem.Allocator, points int, gp gridPa
 				// untransformed z-solve reads AND writes the next node's
 				// still-dirty planes.
 				for s := 0; s < gp.sweeps; s++ {
-					ph = append(ph, stream(sharedAt(u), lo, hi, 1, gp.compute, 2))
+					ph = append(ph, stream(u, lo, hi, gp.compute, 2))
 					ph = append(ph, barrier())
 				}
-				z := wrapStream(sharedAt(u), points, nextStart, zCount, 1, gp.compute/2).(*wrapStreamPhase)
+				z := wrapStream(u, nextStart, zCount, gp.compute/2)
 				z.storeEvery = 2
 				ph = append(ph, z, barrier())
 
@@ -82,14 +82,14 @@ func buildGridSolver(opts Options, alloc *shmem.Allocator, points int, gp gridPa
 				}
 				ph = append(ph, rotStream(work, pass+gp.sweeps, zCount, gp.compute/2, 2))
 				if copyCount := int(float64(npp) * gp.dsm2CopyFrac); copyCount > 0 {
-					ph = append(ph, wrapStream(sharedAt(u), points, nextStart, copyCount, 1, 1))
+					ph = append(ph, wrapStream(u, nextStart, copyCount, 1))
 					// Only the boundary planes live in shared memory now;
 					// the owner writes just those back.
 					wbHi := lo + copyCount
 					if wbHi > hi {
 						wbHi = hi
 					}
-					ph = append(ph, stream(sharedAt(u), lo, wbHi, 1, 1, 1))
+					ph = append(ph, stream(u, lo, wbHi, 1, 1))
 				}
 				ph = append(ph, barrier())
 
@@ -112,7 +112,7 @@ func buildGridSolver(opts Options, alloc *shmem.Allocator, points int, gp gridPa
 				ph = append(ph, allReduce(8))
 			}
 			return ph
-		})
+		}}
 	}
 	return progs, u
 }
@@ -132,7 +132,7 @@ func buildFT(opts Options, alloc *shmem.Allocator, points int) ([]cpu.Program, *
 		node := topology.NodeID(n)
 		lo, hi := x.OwnerRange(node)
 		nextStart := ((n + 1) % p) * npp
-		progs[n] = program(opts.Iterations, func(iter int) []phase {
+		progs[n] = &program{iters: opts.Iterations, build: func(iter int) []phase {
 			pass := iter * (fftPasses + 1)
 			var ph []phase
 			switch opts.Variant {
@@ -146,10 +146,10 @@ func buildFT(opts Options, alloc *shmem.Allocator, points int) ([]cpu.Program, *
 				// FFT passes in place on the shared array; the transpose
 				// reads and writes the neighbor's still-dirty partition.
 				for s := 0; s < fftPasses; s++ {
-					ph = append(ph, stream(sharedAt(x), lo, hi, 1, fftCompute, 2))
+					ph = append(ph, stream(x, lo, hi, fftCompute, 2))
 					ph = append(ph, barrier())
 				}
-				tr := wrapStream(sharedAt(x), points, nextStart, npp, 1, 2).(*wrapStreamPhase)
+				tr := wrapStream(x, nextStart, npp, 2)
 				tr.storeEvery = 2
 				ph = append(ph, tr, barrier())
 
@@ -160,8 +160,8 @@ func buildFT(opts Options, alloc *shmem.Allocator, points int) ([]cpu.Program, *
 					ph = append(ph, rotStream(y, pass+s, npp, fftCompute, 2))
 				}
 				ph = append(ph, rotStream(y, pass+fftPasses, npp, 2, 2))
-				ph = append(ph, wrapStream(sharedAt(x), points, nextStart, npp/4, 1, 1))
-				ph = append(ph, stream(sharedAt(x), lo, lo+npp/4, 1, 1, 1))
+				ph = append(ph, wrapStream(x, nextStart, npp/4, 1))
+				ph = append(ph, stream(x, lo, lo+npp/4, 1, 1))
 				ph = append(ph, barrier())
 
 			case MPI:
@@ -188,7 +188,7 @@ func buildFT(opts Options, alloc *shmem.Allocator, points int) ([]cpu.Program, *
 				ph = append(ph, barrier())
 			}
 			return ph
-		})
+		}}
 	}
 	return progs, x
 }
@@ -209,13 +209,13 @@ func buildCG(opts Options, alloc *shmem.Allocator, points, nnz int) ([]cpu.Progr
 	for n := 0; n < p; n++ {
 		node := topology.NodeID(n)
 		lo, hi := vec.OwnerRange(node)
-		progs[n] = program(opts.Iterations, func(int) []phase {
+		progs[n] = &program{iters: opts.Iterations, build: func(int) []phase {
 			var ph []phase
 			switch opts.Variant {
 			case Seq:
 				ph = append(ph,
-					pairedStream(privateAt(pPriv), points, 0, nnzPP, 1, privateAt(a), a.Len(), 4),
-					stream(privateAt(pPriv), 0, points, 1, 2, 1),
+					pairedStream(pPriv, 0, nnzPP, a, 4),
+					stream(pPriv, 0, points, 2, 1),
 				)
 
 			case DSM1, DSM2:
@@ -225,21 +225,21 @@ func buildCG(opts Options, alloc *shmem.Allocator, points, nnz int) ([]cpu.Progr
 				ph = append(ph,
 					// Sparse mat-vec: A streams from private memory, p's
 					// columns wrap the whole shared vector.
-					pairedStream(sharedAt(vec), points, lo, nnzPP, 1, privateAt(a), a.Len(), 4),
+					pairedStream(vec, lo, nnzPP, a, 4),
 					allReduce(8),
 					allReduce(8),
 					// Owners rewrite their partition of p, invalidating
 					// every node's cached copy.
-					stream(sharedAt(vec), lo, hi, 1, 2, 1),
+					stream(vec, lo, hi, 2, 1),
 					barrier(),
 				)
 
 			case MPI:
 				ph = append(ph,
-					pairedStream(privateAt(pPriv), points, lo, nnzPP, 1, privateAt(a), a.Len(), 4),
+					pairedStream(pPriv, lo, nnzPP, a, 4),
 					allReduce(8),
 					allReduce(8),
-					stream(privateAt(pPriv), lo, hi, 1, 2, 1),
+					stream(pPriv, lo, hi, 2, 1),
 				)
 				if p > 1 {
 					// Exchange updated vector segments around the ring
@@ -255,7 +255,7 @@ func buildCG(opts Options, alloc *shmem.Allocator, points, nnz int) ([]cpu.Progr
 				}
 			}
 			return ph
-		})
+		}}
 	}
 	return progs, vec
 }

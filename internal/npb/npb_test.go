@@ -5,6 +5,7 @@ import (
 
 	"cenju4/internal/cpu"
 	"cenju4/internal/machine"
+	"cenju4/internal/shmem"
 )
 
 func runWorkload(t testing.TB, opts Options) (machine.Result, *Workload) {
@@ -195,4 +196,28 @@ func BenchmarkBuildAndRunBT(b *testing.B) {
 	}
 }
 
-var _ = cpu.Op{} // keep cpu import for helper types used in tests
+// BenchmarkProcessorStream times the processor front end on its own:
+// one node runs FT dsm(2)'s private passes (rotStream over the 4 MB
+// private buffer, 40 instructions per element and a store every other
+// element), so every access is a cache hit or a private miss and no
+// coherence transaction runs. It reports host time per simulated
+// memory access.
+func BenchmarkProcessorStream(b *testing.B) {
+	const passes, elems = 4, 64 * 1024
+	y := shmem.NewAllocator(1).Private("y", privBufElems)
+	var accesses uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := machine.New(machine.Config{Nodes: 1})
+		prog := &program{iters: 1, build: func(int) []phase {
+			ph := make([]phase, passes)
+			for s := range ph {
+				ph[s] = rotStream(y, s, elems, 40, 2)
+			}
+			return ph
+		}}
+		b.StartTimer()
+		accesses += m.Run([]cpu.Program{prog}).PerNode[0].MemAccesses
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+}

@@ -8,9 +8,11 @@ import (
 
 // phase is a restartable generator of operations. Programs are built as
 // sequences of phases repeated over iterations, so multi-million-access
-// workloads never materialize op slices.
+// workloads never materialize op slices. fill writes whole loop bodies
+// into buf while at least cpu.MinFill slots are free and returns how
+// many ops it wrote; 0 means the phase is finished.
 type phase interface {
-	next() (cpu.Op, bool)
+	fill(buf []cpu.Op) int
 }
 
 // opPhase emits a fixed slice of ops (collectives, small sequences).
@@ -19,18 +21,15 @@ type opPhase struct {
 	pos int
 }
 
-func (p *opPhase) next() (cpu.Op, bool) {
-	if p.pos >= len(p.ops) {
-		return cpu.Op{}, false
-	}
-	op := p.ops[p.pos]
-	p.pos++
-	return op, true
+//cenju4:hotpath
+func (p *opPhase) fill(buf []cpu.Op) int {
+	n := copy(buf, p.ops[p.pos:])
+	p.pos += n
+	return n
 }
 
-func barrier() phase             { return &opPhase{ops: []cpu.Op{{Kind: cpu.OpBarrier}}} }
-func allReduce(n uint64) phase   { return &opPhase{ops: []cpu.Op{{Kind: cpu.OpAllReduce, N: n}}} }
-func computeOnly(n uint64) phase { return &opPhase{ops: []cpu.Op{{Kind: cpu.OpCompute, N: n}}} }
+func barrier() phase           { return &opPhase{ops: []cpu.Op{{Kind: cpu.OpBarrier}}} }
+func allReduce(n uint64) phase { return &opPhase{ops: []cpu.Op{{Kind: cpu.OpAllReduce, N: n}}} }
 
 func send(dst topology.NodeID, bytes uint64) cpu.Op {
 	return cpu.Op{Kind: cpu.OpSend, Dst: dst, N: bytes}
@@ -39,86 +38,105 @@ func recv(src topology.NodeID) cpu.Op {
 	return cpu.Op{Kind: cpu.OpRecv, Dst: src}
 }
 
-// addrAt abstracts shared and private regions.
-type addrFn func(i int) topology.Addr
+// region is an array a phase streams over: a shared *shmem.Region or a
+// private *shmem.PrivRegion.
+type region interface {
+	Len() int
+	Span(i int) (topology.Addr, int)
+}
 
-func sharedAt(r *shmem.Region) addrFn      { return r.Addr }
-func privateAt(r *shmem.PrivRegion) addrFn { return r.Addr }
+// cursor walks a region element by element, asking it for an address
+// once per contiguous run (one cache block) instead of once per element.
+type cursor struct {
+	r    region
+	i    int           // current element
+	addr topology.Addr // its address
+	run  int           // elements left in the run, from i (0 = ask again)
+}
 
-// streamPhase sweeps elements [lo,hi) with the given stride, emitting
-// per element: a load, `compute` instructions, and a store every
-// storeEvery-th element (0 = never). Sequential strides get the block's
-// natural 1-in-16 miss locality; large strides model scatter access.
+// at returns the current element's address.
+func (c *cursor) at() topology.Addr {
+	if c.run == 0 {
+		c.addr, c.run = c.r.Span(c.i)
+	}
+	return c.addr
+}
+
+// advance moves to the next element; at must have been called for the
+// current one.
+func (c *cursor) advance() {
+	c.i++
+	c.run--
+	c.addr += shmem.ElemSize
+}
+
+// wrap restarts the cursor at element 0 once it has passed element n-1.
+func (c *cursor) wrap(n int) {
+	if c.i == n {
+		c.i, c.run = 0, 0
+	}
+}
+
+// streamPhase sweeps elements [lo,hi), emitting per element: a load,
+// `compute` instructions, and a store every storeEvery-th element
+// (0 = never). A sweep gets the block's natural 1-in-16 miss locality.
 type streamPhase struct {
-	at         addrFn
-	lo, hi     int
-	stride     int
+	cur        cursor
+	hi         int
 	compute    uint64
 	storeEvery int
-
-	i     int
-	state int // 0 = load, 1 = compute, 2 = store
-	count int
+	sinceStore int // elements since the last store
 }
 
-func stream(at addrFn, lo, hi, stride int, compute uint64, storeEvery int) phase {
-	if stride == 0 {
-		stride = 1
-	}
-	return &streamPhase{at: at, lo: lo, hi: hi, stride: stride, compute: compute, storeEvery: storeEvery, i: lo}
+func stream(r region, lo, hi int, compute uint64, storeEvery int) phase {
+	return &streamPhase{cur: cursor{r: r, i: lo}, hi: hi, compute: compute, storeEvery: storeEvery}
 }
 
-func (p *streamPhase) next() (cpu.Op, bool) {
-	for {
-		if p.i >= p.hi || p.i < p.lo {
-			return cpu.Op{}, false
+//cenju4:hotpath
+func (p *streamPhase) fill(buf []cpu.Op) int {
+	n := 0
+	for p.cur.i < p.hi && n+cpu.MinFill <= len(buf) {
+		addr := p.cur.at()
+		buf[n] = cpu.Op{Kind: cpu.OpLoad, Addr: addr}
+		n++
+		if p.compute > 0 {
+			buf[n] = cpu.Op{Kind: cpu.OpCompute, N: p.compute}
+			n++
 		}
-		switch p.state {
-		case 0:
-			p.state = 1
-			return cpu.Op{Kind: cpu.OpLoad, Addr: p.at(p.i)}, true
-		case 1:
-			p.state = 2
-			if p.compute > 0 {
-				return cpu.Op{Kind: cpu.OpCompute, N: p.compute}, true
-			}
-		case 2:
-			doStore := p.storeEvery > 0 && (p.count%p.storeEvery) == p.storeEvery-1
-			addr := p.at(p.i)
-			p.count++
-			p.i += p.stride
-			p.state = 0
-			if doStore {
-				return cpu.Op{Kind: cpu.OpStore, Addr: addr}, true
+		if p.storeEvery > 0 {
+			if p.sinceStore++; p.sinceStore == p.storeEvery {
+				p.sinceStore = 0
+				buf[n] = cpu.Op{Kind: cpu.OpStore, Addr: addr}
+				n++
 			}
 		}
+		p.cur.advance()
 	}
+	return n
 }
 
 // wrapStreamPhase sweeps `count` elements starting at `start` modulo the
 // region length — used for transpose-style reads of other nodes'
-// partitions and for CG's full-vector coverage.
+// partitions and for CG's full-vector coverage. Per element it emits an
+// optional load of the next element of a second (private) region, a
+// load, and then a store every storeEvery-th element or else `compute`
+// instructions.
 type wrapStreamPhase struct {
-	at         addrFn
-	n          int
-	start      int
+	cur        cursor
+	n          int // region length
 	count      int
-	stride     int
 	compute    uint64
 	storeEvery int
-	pair       addrFn // optional second (private) access per element
-	pairIdx    int
+	pair       *cursor // optional second access per element
 	pairLen    int
 
-	i     int
-	state int
+	done       int // elements emitted
+	sinceStore int
 }
 
-func wrapStream(at addrFn, n, start, count, stride int, compute uint64) phase {
-	if stride == 0 {
-		stride = 1
-	}
-	return &wrapStreamPhase{at: at, n: n, start: start % n, count: count, stride: stride, compute: compute}
+func wrapStream(r region, start, count int, compute uint64) *wrapStreamPhase {
+	n := r.Len()
+	return &wrapStreamPhase{cur: cursor{r: r, i: start % n}, n: n, count: count, compute: compute}
 }
 
 // rotStream sweeps `count` elements of a large private buffer starting
@@ -129,77 +147,81 @@ func wrapStream(at addrFn, n, start, count, stride int, compute uint64) phase {
 // sequential baseline included — instead of turning into a cache-fit
 // artifact at high node counts.
 func rotStream(priv *shmem.PrivRegion, pass, count int, compute uint64, storeEvery int) phase {
-	p := wrapStream(privateAt(priv), priv.Len(), pass*count, count, 1, compute).(*wrapStreamPhase)
+	p := wrapStream(priv, pass*count, count, compute)
 	p.storeEvery = storeEvery
 	return p
 }
 
 // pairedStream is wrapStream plus one private access per element — the
 // CG inner loop: load A[j] (private), load p[col] (shared), compute.
-func pairedStream(shared addrFn, n, start, count, stride int, priv addrFn, privLen int, compute uint64) phase {
-	p := wrapStream(shared, n, start, count, stride, compute).(*wrapStreamPhase)
-	p.pair = priv
-	p.pairLen = privLen
+func pairedStream(r region, start, count int, priv *shmem.PrivRegion, compute uint64) phase {
+	p := wrapStream(r, start, count, compute)
+	p.pair = &cursor{r: priv}
+	p.pairLen = priv.Len()
 	return p
 }
 
-func (p *wrapStreamPhase) next() (cpu.Op, bool) {
-	for {
-		if p.i >= p.count {
-			return cpu.Op{}, false
+//cenju4:hotpath
+func (p *wrapStreamPhase) fill(buf []cpu.Op) int {
+	n := 0
+	for p.done < p.count && n+cpu.MinFill <= len(buf) {
+		if p.pair != nil {
+			buf[n] = cpu.Op{Kind: cpu.OpLoad, Addr: p.pair.at()}
+			n++
+			p.pair.advance()
+			p.pair.wrap(p.pairLen)
 		}
-		switch p.state {
-		case 0:
-			p.state = 1
-			if p.pair != nil {
-				idx := p.pairIdx % p.pairLen
-				p.pairIdx++
-				return cpu.Op{Kind: cpu.OpLoad, Addr: p.pair(idx)}, true
-			}
-		case 1:
-			p.state = 2
-			idx := (p.start + p.i*p.stride) % p.n
-			return cpu.Op{Kind: cpu.OpLoad, Addr: p.at(idx)}, true
-		case 2:
-			doStore := p.storeEvery > 0 && p.i%p.storeEvery == p.storeEvery-1
-			idx := (p.start + p.i*p.stride) % p.n
-			p.state = 0
-			p.i++
-			if doStore {
-				return cpu.Op{Kind: cpu.OpStore, Addr: p.at(idx)}, true
-			}
-			if p.compute > 0 {
-				return cpu.Op{Kind: cpu.OpCompute, N: p.compute}, true
+		addr := p.cur.at()
+		buf[n] = cpu.Op{Kind: cpu.OpLoad, Addr: addr}
+		n++
+		store := false
+		if p.storeEvery > 0 {
+			if p.sinceStore++; p.sinceStore == p.storeEvery {
+				p.sinceStore = 0
+				store = true
 			}
 		}
+		if store {
+			buf[n] = cpu.Op{Kind: cpu.OpStore, Addr: addr}
+			n++
+		} else if p.compute > 0 {
+			buf[n] = cpu.Op{Kind: cpu.OpCompute, N: p.compute}
+			n++
+		}
+		p.done++
+		p.cur.advance()
+		p.cur.wrap(p.n)
 	}
+	return n
 }
 
-// program assembles per-iteration phase lists into a cpu.Program.
-func program(iters int, build func(iter int) []phase) cpu.Program {
-	iter := 0
-	var cur []phase
-	idx := 0
-	return cpu.FuncProgram(func() (cpu.Op, bool) {
-		for {
-			if cur == nil {
-				if iter >= iters {
-					return cpu.Op{}, false
-				}
-				cur = build(iter)
-				idx = 0
-				iter++
+// program runs per-iteration phase lists as a cpu.Program: build(iter)
+// returns iteration iter's phases, and Fill drains them in order.
+type program struct {
+	iters int
+	build func(iter int) []phase
+	iter  int
+	cur   []phase // the unfinished phases of the current iteration
+}
+
+//cenju4:hotpath
+func (p *program) Fill(buf []cpu.Op) int {
+	n := 0
+	for n+cpu.MinFill <= len(buf) {
+		if len(p.cur) == 0 {
+			if p.iter == p.iters {
+				break
 			}
-			if idx >= len(cur) {
-				cur = nil
-				continue
-			}
-			op, ok := cur[idx].next()
-			if !ok {
-				idx++
-				continue
-			}
-			return op, true
+			//cenju4:alloc-ok one phase list per program iteration, amortized over its ops
+			p.cur = p.build(p.iter)
+			p.iter++
+			continue
 		}
-	})
+		if k := p.cur[0].fill(buf[n:]); k > 0 {
+			n += k
+		} else {
+			p.cur = p.cur[1:]
+		}
+	}
+	return n
 }

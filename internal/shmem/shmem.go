@@ -180,6 +180,27 @@ func (r *Region) Addr(i int) topology.Addr {
 	}
 }
 
+// Span returns the address of element i and the length n of the run of
+// elements from i on that lie contiguously in i's cache block:
+// Addr(i+k) == Addr(i) + k*ElemSize for every k < n. A blocked run
+// also ends at its chunk, whose successor lives at another home.
+// Workload generators call Span once per block rather than Addr once
+// per element.
+func (r *Region) Span(i int) (topology.Addr, int) {
+	a := r.Addr(i)
+	end := r.elems
+	if r.mapping == MapBlocked {
+		end = min(end, (i/r.chunk+1)*r.chunk)
+	}
+	return a, blockRun(a, end-i)
+}
+
+// blockRun caps a run of left elements starting at a at the end of a's
+// cache block.
+func blockRun(a topology.Addr, left int) int {
+	return min(left, int(topology.BlockSize-a.Offset()%topology.BlockSize)/ElemSize)
+}
+
 // Home returns the home node of element i.
 func (r *Region) Home(i int) topology.NodeID { return r.Addr(i).Home() }
 
@@ -214,4 +235,10 @@ func (r *PrivRegion) Addr(i int) topology.Addr {
 		panic(fmt.Sprintf("shmem: %s[%d] out of range (len %d)", r.name, i, r.elems))
 	}
 	return topology.PrivateAddr(r.base + uint64(i)*ElemSize)
+}
+
+// Span is Region.Span for a private array.
+func (r *PrivRegion) Span(i int) (topology.Addr, int) {
+	a := r.Addr(i)
+	return a, blockRun(a, r.elems-i)
 }

@@ -144,3 +144,39 @@ func TestMappingString(t *testing.T) {
 		t.Fatal("mapping strings wrong")
 	}
 }
+
+// Span(i) must return Addr(i) and the longest run of elements from i
+// on that follow it at ElemSize steps within its cache block.
+func TestSpan(t *testing.T) {
+	a := NewAllocator(4)
+	regions := map[string]interface {
+		Len() int
+		Addr(int) topology.Addr
+		Span(int) (topology.Addr, int)
+	}{
+		"none":    a.Shared("none", 200, MapNone),
+		"blocked": a.Shared("blocked", 300, MapBlocked), // chunk 75: not a multiple of 16
+		"cyclic":  a.Shared("cyclic", 250, MapCyclic),
+		"private": a.Private("private", 90),         // last block holds 10 elements
+		"tiny":    a.Shared("tiny", 10, MapBlocked), // chunk 3: 1-element tail
+	}
+	for name, r := range regions {
+		for i := 0; i < r.Len(); i++ {
+			addr, n := r.Span(i)
+			if addr != r.Addr(i) {
+				t.Fatalf("%s.Span(%d) address %v, want %v", name, i, addr, r.Addr(i))
+			}
+			want := 0
+			for k := 0; i+k < r.Len(); k++ {
+				ak := r.Addr(i + k)
+				if ak != addr+topology.Addr(k*ElemSize) || ak.Block() != addr.Block() {
+					break
+				}
+				want++
+			}
+			if n != want {
+				t.Fatalf("%s.Span(%d) run %d, want %d", name, i, n, want)
+			}
+		}
+	}
+}
