@@ -38,7 +38,6 @@ import (
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
 	"cenju4/internal/npb"
-	"cenju4/internal/runner"
 	"cenju4/internal/topology"
 	"cenju4/internal/trace"
 )
@@ -243,19 +242,6 @@ type WorkloadOptions struct {
 	// so an unrecoverable plan aborts with the machine watchdog's
 	// diagnosis. Empty means fault-free.
 	Fault string
-	// IntraParallel shards the simulated nodes over IntraParallel
-	// conservative-PDES partitions that advance in parallel windows (see
-	// internal/psim). 0 or 1 selects the sequential kernel. Results are
-	// byte-identical at every setting; more shards only buys wall-clock
-	// time when IntraWorkers > 1 and spare cores exist. Must be a power
-	// of two dividing Nodes, and is incompatible with the "mpi" variant
-	// (its Recv has zero lookahead), with Fault, and with Trace.
-	IntraParallel int
-	// IntraWorkers caps the OS threads running shard windows (default:
-	// min(IntraParallel, GOMAXPROCS)). Callers nesting RunNPB inside
-	// their own worker pools should pass runner.NestedBudget(outer,
-	// IntraParallel) so total parallelism stays within GOMAXPROCS.
-	IntraWorkers int
 	// Metrics, when non-nil, receives the run's observability registry
 	// (counters, watermark gauges, latency histograms) — see
 	// internal/metrics.
@@ -309,31 +295,7 @@ func RunNPB(app, variant string, opts WorkloadOptions) (WorkloadResult, error) {
 			return WorkloadResult{}, err
 		}
 	}
-	if opts.IntraParallel > 1 {
-		if k := opts.IntraParallel; k&(k-1) != 0 || k > opts.Nodes {
-			return WorkloadResult{}, fmt.Errorf("cenju4: IntraParallel %d must be a power of two <= %d nodes", k, opts.Nodes)
-		}
-		if v == npb.MPI {
-			return WorkloadResult{}, fmt.Errorf("cenju4: the mpi variant uses blocking Recv, which has zero lookahead; intra-run parallelism needs IntraParallel=1")
-		}
-		if opts.Fault != "" {
-			return WorkloadResult{}, fmt.Errorf("cenju4: fault injection is unsupported under IntraParallel > 1")
-		}
-		if opts.Trace != nil {
-			return WorkloadResult{}, fmt.Errorf("cenju4: protocol tracing is unsupported under IntraParallel > 1")
-		}
-		if opts.IntraWorkers == 0 {
-			opts.IntraWorkers = runner.NestedBudget(1, opts.IntraParallel)
-		}
-	}
-	m := machine.New(machine.Config{
-		Nodes:         opts.Nodes,
-		Multicast:     true,
-		UpdateMode:    w.UpdateMode,
-		Fault:         fault,
-		IntraParallel: opts.IntraParallel,
-		IntraWorkers:  opts.IntraWorkers,
-	})
+	m := machine.New(machine.Config{Nodes: opts.Nodes, Multicast: true, UpdateMode: w.UpdateMode, Fault: fault})
 	if opts.Trace != nil {
 		m.SetTracer(opts.Trace.Tracer())
 	}

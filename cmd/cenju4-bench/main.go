@@ -37,7 +37,6 @@ func main() {
 	ablSeed := flag.Int64("ablation-seed", 7, "sharer-placement seed for the imprecision ablation")
 	fault := flag.String("fault", "", "deterministic fault plan for the application runs: preset name or k=v spec (recoverable plans only)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for independent simulation runs (1 = sequential; output is byte-identical at every setting)")
-	parallelIntra := flag.Int("parallel-intra", 1, "additionally shard each application run over K conservative-PDES partitions (byte-identical output; mpi/faulted/traced runs fall back to K=1)")
 	metricsOut := flag.String("metrics-out", "", "write the merged metrics registry of all machine runs as canonical JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace-event (Perfetto-loadable) JSON file covering all machine runs")
 	traceMax := flag.Int("trace-max", 1<<16, "per-run trace event capacity for -trace-out; excess events are counted and surfaced")
@@ -59,7 +58,6 @@ func main() {
 		cfg.Seed = *seed
 	}
 	cfg.Parallel = *parallel
-	cfg.IntraParallel = *parallelIntra
 	if *fault != "" {
 		spec, err := faults.ParseSpec(*fault)
 		if err != nil {

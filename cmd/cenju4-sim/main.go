@@ -4,8 +4,7 @@
 // Usage:
 //
 //	cenju4-sim -app bt -variant dsm2 -nodes 64 [-nomap] [-scale f] [-iters n]
-//	           [-seed n] [-parallel-intra k] [-metrics-out m.json]
-//	           [-trace-out t.json] [-trace-max n]
+//	           [-seed n] [-metrics-out m.json] [-trace-out t.json] [-trace-max n]
 //
 // The simulation is fully deterministic: the same flags always produce
 // the same summary, the same -metrics-out report, and the same
@@ -36,18 +35,16 @@ func main() {
 	iters := flag.Int("iters", 2, "outer iterations")
 	seed := flag.Int64("seed", 0, "run label recorded in observability output (simulation is deterministic)")
 	fault := flag.String("fault", "", "deterministic fault plan: preset name or k=v spec (recoverable plans only; see cenju4-chaos for the grid)")
-	parallelIntra := flag.Int("parallel-intra", 1, "shard the run over K conservative-PDES partitions (power of two dividing nodes; byte-identical results; incompatible with -fault, -trace-out and -variant mpi)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry as canonical JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace-event (Perfetto-loadable) JSON file")
 	traceMax := flag.Int("trace-max", 1<<20, "trace event capacity; excess events are counted and surfaced")
 	flag.Parse()
 
 	opts := cenju4.WorkloadOptions{
-		Nodes:         *nodes,
-		Iterations:    *iters,
-		Scale:         *scale,
-		Fault:         *fault,
-		IntraParallel: *parallelIntra,
+		Nodes:      *nodes,
+		Iterations: *iters,
+		Scale:      *scale,
+		Fault:      *fault,
 	}
 	mapped := !*nomap
 	opts.DataMapping = &mapped

@@ -222,10 +222,6 @@ var SimPackages = map[string]bool{
 	// every home placement.
 	"cenju4/internal/cpu":   true,
 	"cenju4/internal/shmem": true,
-	// The PDES coordinator must be bit-deterministic by construction:
-	// its whole contract is that a K-sharded run digests identically to
-	// the sequential kernel, so it gets the strict simulation rules.
-	"cenju4/internal/psim": true,
 	// Fault injection must be exactly as deterministic as the traffic
 	// it perturbs: every drop/dup/delay/corrupt decision derives from
 	// the (plan, seed, message) alone, so a chaos run replays

@@ -7,7 +7,7 @@
 //
 // The analyzer generalizes the one-off captured-write closure check
 // that previously lived in the determinism pass into the reusable
-// guarantee intra-run parallelism needs. At every runner.Map/MapEach
+// guarantee parallel sweeps need. At every runner.Map/MapEach
 // call site, in every package, it flags:
 //
 //   - writes to variables captured from the enclosing scope inside the
@@ -26,15 +26,6 @@
 // chain. Atomic counters (sync/atomic values or Add/Store calls) are
 // method/function calls, not assignments, and are naturally exempt —
 // which is exactly the discipline serve.Pool's counters follow.
-//
-// The same guarantee extends to internal/psim's intra-run parallelism,
-// whose phase-A workers are raw goroutines rather than runner.Map
-// calls: each shard's engine and state are single-owner during a
-// window, so the shard window executor (Coordinator.runShardWindow)
-// must not reach a package-level write either — cross-shard
-// communication belongs in the logged outcalls that the coordinator
-// replays serially in phase B. The analyzer checks the executor's call
-// tree against the same fact map.
 package pdessafety
 
 import (
@@ -58,16 +49,6 @@ var Analyzer = &analysis.Analyzer{
 // closures the analyzer guards.
 const runnerPath = "cenju4/internal/runner"
 
-// psimPath is the PDES coordinator package; its phase-A shard window
-// executor is a worker entry point like a runner.Map closure, and gets
-// the same reachability check.
-const psimPath = "cenju4/internal/psim"
-
-// psimWorkerEntry is the function every psim worker goroutine runs;
-// everything statically reachable from it executes with only
-// single-shard ownership.
-const psimWorkerEntry = "runShardWindow"
-
 const factGlobalWrite = "pdessafety.globalwrite"
 
 func run(pass *analysis.Pass) error {
@@ -86,36 +67,7 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	if pass.Pkg.Path() == psimPath {
-		checkShardWorkers(pass, facts)
-	}
 	return nil
-}
-
-// checkShardWorkers enforces the single-owner contract of psim's phase
-// A: the shard window executor runs on concurrent worker goroutines
-// with nothing but its own shard's engines, pools and logs, so its
-// static call tree must not write package-level state. (Per-shard
-// state is invisible to this check by construction — it hangs off the
-// shard struct, not off globals — which is exactly the discipline that
-// makes the phases data-race-free without locks.)
-func checkShardWorkers(pass *analysis.Pass, facts analysis.FactMap) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != psimWorkerEntry || fd.Recv == nil {
-				continue
-			}
-			callee, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok || facts.Lookup(callee, factGlobalWrite) == nil {
-				continue
-			}
-			pass.Reportf(fd.Name.Pos(),
-				"psim shard worker %s transitively writes package-level state: %s; phase-A workers own only their shard — route cross-shard effects through the outcall log for the coordinator's serial replay",
-				analysis.DisplayName(callee),
-				pass.Program.FactChain(facts, callee, factGlobalWrite))
-		}
-	}
 }
 
 // moduleFacts computes (once per program) which module functions

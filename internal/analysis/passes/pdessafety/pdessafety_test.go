@@ -24,10 +24,3 @@ func TestTransitiveGlobalWrites(t *testing.T) {
 	analysistest.RunDirs(t, pdessafety.Analyzer,
 		"testdata/globalsink", "testdata/sweep")
 }
-
-// TestShardWorkers checks the psim extension: the shard window
-// executor (phase-A worker entry) must not reach a package-level
-// write, while coordinator-side methods in the same package may.
-func TestShardWorkers(t *testing.T) {
-	analysistest.Run(t, "testdata/shardworker", pdessafety.Analyzer)
-}

@@ -40,14 +40,7 @@ func runOne(cfg Config, app npb.App, v npb.Variant, nodes int, mapped bool) appR
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	intra := cfg.intraFor(v, nodes)
-	m := machine.New(machine.Config{
-		Nodes:         nodes,
-		Multicast:     true,
-		Fault:         cfg.Fault,
-		IntraParallel: intra,
-		IntraWorkers:  runner.NestedBudget(cfg.Parallel, intra),
-	})
+	m := machine.New(machine.Config{Nodes: nodes, Multicast: true, Fault: cfg.Fault})
 	col := cfg.observePre(m)
 	r := m.Run(w.Progs)
 	if err := m.Validate(); err != nil {

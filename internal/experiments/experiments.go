@@ -19,7 +19,6 @@ import (
 	"cenju4/internal/faults"
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
-	"cenju4/internal/npb"
 	"cenju4/internal/runner"
 	"cenju4/internal/sim"
 	"cenju4/internal/trace"
@@ -46,15 +45,6 @@ type Config struct {
 	// rendered tables are byte-identical at every setting (asserted by
 	// parallel_test.go, under -race in CI).
 	Parallel int
-	// IntraParallel additionally shards each application run's simulated
-	// nodes over K conservative-PDES partitions (see internal/psim).
-	// Results stay byte-identical; runs that cannot shard — the mpi
-	// variants (blocking Recv has zero lookahead), fault plans, traced
-	// runs, and machines smaller than K — silently fall back to the
-	// sequential kernel. Shard workers are budgeted with
-	// runner.NestedBudget so Parallel x IntraParallel never oversubscribes
-	// GOMAXPROCS.
-	IntraParallel int
 	// Fault is the deterministic fault plan threaded into every
 	// machine-building application run (zero = fault-free). Use
 	// recoverable plans only: the application experiments assert
@@ -154,30 +144,6 @@ func (c Config) withDefaults() Config {
 
 // parOpts is the runner configuration for an experiment sweep.
 func (c Config) parOpts() runner.Options { return runner.Options{Parallel: c.Parallel} }
-
-// intraFor resolves the PDES shard count for one application run,
-// falling back to the sequential kernel (1) for runs that cannot
-// shard. The digest guarantee makes the fallback invisible in output.
-func (c Config) intraFor(v npb.Variant, nodes int) int {
-	k := c.IntraParallel
-	if k <= 1 {
-		return 1
-	}
-	if v == npb.MPI || c.Fault != (faults.Spec{}) {
-		return 1
-	}
-	if c.Observe != nil && c.Observe.TraceCap > 0 {
-		return 1
-	}
-	// Round down to the largest power of two that divides the machine.
-	for k&(k-1) != 0 {
-		k &= k - 1
-	}
-	for k > nodes {
-		k >>= 1
-	}
-	return k
-}
 
 // rethrow propagates the first captured worker panic. Experiment runs
 // signal invalid configurations and coherence violations by panicking

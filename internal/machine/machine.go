@@ -18,7 +18,6 @@ import (
 	"cenju4/internal/mpi"
 	"cenju4/internal/msg"
 	"cenju4/internal/network"
-	"cenju4/internal/psim"
 	"cenju4/internal/sim"
 	"cenju4/internal/stats"
 	"cenju4/internal/timing"
@@ -64,18 +63,6 @@ type Config struct {
 	// retransmits) that repairs the injected damage. The zero value is
 	// fault-free and leaves every hot path untouched.
 	Fault faults.Spec
-	// IntraParallel partitions this one run's nodes into K shards
-	// executed as a conservative PDES (internal/psim). 0 or 1 is the
-	// sequential kernel, unchanged; K > 1 must be a power of two
-	// dividing Nodes. Results are byte-identical at every K — only
-	// wall-clock changes. Mutually exclusive with fault injection
-	// (Fault, Faults), tracers, and value tracking; mpi Recv panics at
-	// K > 1 (zero lookahead — see psim).
-	IntraParallel int
-	// IntraWorkers bounds the phase-A goroutines at K > 1 (0 = K,
-	// clamped to [1, K]). Sweep drivers must budget it through
-	// runner.NestedBudget so Map × intra workers ≤ GOMAXPROCS.
-	IntraWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -97,23 +84,6 @@ type Machine struct {
 	ctrls     []*core.Controller
 	cpus      []*cpu.CPU
 	quiescent []func()
-	psim      *psim.Coordinator // non-nil iff cfg.IntraParallel > 1
-}
-
-// intraShards normalizes IntraParallel (0 → 1) and validates the
-// combination.
-func (c Config) intraShards() int {
-	k := c.IntraParallel
-	if k <= 1 {
-		return 1
-	}
-	if k&(k-1) != 0 || k > c.Nodes {
-		panic(fmt.Sprintf("machine: IntraParallel %d must be a power of two <= %d nodes", k, c.Nodes))
-	}
-	if c.Fault != (faults.Spec{}) || c.Faults != nil {
-		panic("machine: IntraParallel > 1 is incompatible with fault injection")
-	}
-	return k
 }
 
 // New builds a machine.
@@ -126,10 +96,6 @@ func New(cfg Config) *Machine {
 	fs := cfg.Fault.Normalize()
 	if err := fs.Validate(); err != nil {
 		panic(fmt.Sprintf("machine: %v", err))
-	}
-	if cfg.intraShards() > 1 {
-		m.buildIntra()
-		return m
 	}
 	// One message pool serves the whole machine: controllers allocate
 	// from it, the network's release points feed it. Safe because every
@@ -180,13 +146,8 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Engine exposes the event engine (examples and tests drive it). At
-// IntraParallel > 1 there is no single engine to drive — events are
-// partitioned across shard engines — so Engine panics.
-func (m *Machine) Engine() *sim.Engine {
-	m.intraGate("Engine()")
-	return m.eng
-}
+// Engine exposes the event engine (examples and tests drive it).
+func (m *Machine) Engine() *sim.Engine { return m.eng }
 
 // Network exposes the interconnect.
 func (m *Machine) Network() *network.Network { return m.net }
@@ -204,12 +165,8 @@ func (m *Machine) World() *mpi.World { return m.world }
 func (m *Machine) Nodes() int { return m.cfg.Nodes }
 
 // SetTracer installs a protocol event tracer on every controller (nil
-// removes it). Unsupported at IntraParallel > 1: controllers on
-// different shards would invoke the tracer concurrently, and a trace
-// interleaved by wall-clock completion order would not be
-// deterministic.
+// removes it).
 func (m *Machine) SetTracer(t core.Tracer) {
-	m.intraGate("SetTracer")
 	for _, c := range m.ctrls {
 		c.SetTracer(t)
 	}
@@ -220,7 +177,6 @@ func (m *Machine) SetTracer(t core.Tracer) {
 // every controller so a consistency oracle (internal/fuzz) can check
 // that loads observe the values coherence order requires.
 func (m *Machine) TrackValues(obs core.ValueObserver) *core.ValueTracker {
-	m.intraGate("TrackValues") // one tracker shared by all shards would race
 	vt := core.NewValueTracker(obs)
 	for _, c := range m.ctrls {
 		c.SetValueTracker(vt)
@@ -233,16 +189,14 @@ func (m *Machine) TrackValues(obs core.ValueObserver) *core.ValueTracker {
 // Run, and once per round for a driver that injects work in rounds.
 // Callbacks run with the machine idle, so Machine.Validate holds inside
 // them.
-// At IntraParallel > 1, quiescence is a global property the psim
-// coordinator decides; callbacks fire at every global drain but must
-// not schedule new events (round-injecting drivers run at K = 1).
 func (m *Machine) OnQuiescent(fn func()) {
 	m.quiescent = append(m.quiescent, fn)
-	if m.psim != nil {
-		return // psim.Run invokes runQuiescent at each global drain
-	}
 	if len(m.quiescent) == 1 {
-		m.eng.SetIdleFunc(m.runQuiescent)
+		m.eng.SetIdleFunc(func() {
+			for _, f := range m.quiescent {
+				f()
+			}
+		})
 	}
 }
 
@@ -290,19 +244,8 @@ func (m *Machine) LatencyHistograms() map[msg.Kind]*stats.Histogram {
 // after a run; counters add, so one registry can absorb several
 // machines (the experiment harness merges per-run registries in run
 // order).
-// firedEvents counts executed events: the single engine's total, or at
-// IntraParallel > 1 the sum over shard engines (the coordinator engine
-// fires none — replay runs inline — so the sum equals the sequential
-// count, keeping digests identical).
-func (m *Machine) firedEvents() uint64 {
-	if m.psim != nil {
-		return m.psim.Fired()
-	}
-	return m.eng.Fired()
-}
-
 func (m *Machine) MetricsInto(reg *metrics.Registry) {
-	reg.Counter("sim/events").Add(m.firedEvents())
+	reg.Counter("sim/events").Add(m.eng.Fired())
 	reg.Gauge("sim/time-ns").Peak(int64(m.eng.Now()))
 	reg.Gauge("sim/nodes").Peak(int64(m.cfg.Nodes))
 	m.net.MetricsInto(reg)
@@ -355,12 +298,6 @@ func (m *Machine) launch(progs []cpu.Program) []bool {
 	done := make([]bool, m.cfg.Nodes)
 	for i, p := range progs {
 		i := i
-		if m.psim != nil {
-			// Stamp node i's launch push with the global node index so
-			// launch ranks on different shard engines compare exactly as
-			// this loop orders them on a single engine.
-			m.psim.ShardEngine(topology.NodeID(i)).SetDriverSlot(uint64(i))
-		}
 		m.cpus[i].Run(p, func() { done[i] = true })
 	}
 	return done
@@ -382,11 +319,7 @@ func allDone(done []bool) bool {
 // use RunContext.
 func (m *Machine) Run(progs []cpu.Program) Result {
 	done := m.launch(progs)
-	if m.psim != nil {
-		m.psim.Run(nil, m.runQuiescent) // nil poll: cannot return an error
-	} else {
-		m.eng.Run()
-	}
+	m.eng.Run()
 	if !allDone(done) {
 		panic(m.deadlock(done))
 	}
@@ -418,28 +351,6 @@ const runPollEvents = 4096
 // serve and chaos layers report the diagnosis instead of crashing.
 func (m *Machine) RunContext(ctx context.Context, progs []cpu.Program, maxEvents uint64) (Result, error) {
 	done := m.launch(progs)
-	if m.psim != nil {
-		// Window-bounded abort path: context and budget are polled at
-		// every window barrier rather than every runPollEvents events —
-		// coarser (a window can fire many events), but a cancelled run
-		// still stops within one lookahead window.
-		poll := func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if fired := m.psim.Fired(); maxEvents != 0 && fired > maxEvents {
-				return fmt.Errorf("%w (%d events fired, budget %d)", ErrEventBudget, fired, maxEvents)
-			}
-			return nil
-		}
-		if err := m.psim.Run(poll, m.runQuiescent); err != nil {
-			return Result{}, err
-		}
-		if !allDone(done) {
-			return Result{}, m.deadlock(done)
-		}
-		return m.Snapshot(), nil
-	}
 	var fired uint64
 	for {
 		if err := ctx.Err(); err != nil {
@@ -475,7 +386,7 @@ func (m *Machine) Snapshot() Result {
 		Protocol: make([]core.Stats, m.cfg.Nodes),
 		Network:  m.net.Stats(),
 		MPI:      m.world.Stats(),
-		Events:   m.firedEvents(),
+		Events:   m.eng.Fired(),
 	}
 	for i := 0; i < m.cfg.Nodes; i++ {
 		r.PerNode[i] = m.cpus[i].Stats()

@@ -18,6 +18,8 @@ package machine
 //   - TestSteadyStateProtocolAllocs: a warm machine executes tens of
 //     thousands of protocol operations with only a per-round constant
 //     number of heap allocations.
+//   - BenchmarkGoldenRun1024: the synthetic golden workload at 1024
+//     nodes, reported as events/sec (BENCH_scale.json pins a floor).
 //
 // Regenerate the pinned digests after an intentional behavior change:
 //
@@ -239,4 +241,20 @@ func TestSteadyStateProtocolAllocs(t *testing.T) {
 	if avg > budget {
 		t.Errorf("steady-state round allocated %.1f times (budget %d) for %d ops — protocol hot path is allocating again", avg, budget, nodes*opsPerNode)
 	}
+}
+
+// BenchmarkGoldenRun1024 times one full 1024-node synthetic golden run
+// per iteration (machine construction excluded) and reports simulation
+// events fired per wall-clock second.
+func BenchmarkGoldenRun1024(b *testing.B) {
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		progs := goldenProgs(scaleNodes, 1)
+		m := New(Config{Nodes: scaleNodes, Multicast: true})
+		b.StartTimer()
+		events += m.Run(progs).Events
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -31,34 +31,7 @@ type World struct {
 	barriers []*collective // in-flight barriers, matched by arrival order
 	reduces  []*collective
 
-	sched Scheduler
-
 	stats Stats
-}
-
-// Scheduler is the hook a World uses to schedule a completion callback
-// for a given node. The default schedules on the World's engine and
-// ignores the node; the intra-run PDES layer installs one that routes
-// each completion to the engine owning the node's shard, which is why
-// every World completion path must name the node it releases.
-type Scheduler func(node topology.NodeID, at sim.Time, done func())
-
-// SetScheduler installs sched as the completion scheduler (nil restores
-// the default). Must be called before any traffic.
-func (w *World) SetScheduler(sched Scheduler) {
-	if w.stats.Messages != 0 || w.stats.Barriers != 0 || w.stats.AllReduces != 0 {
-		panic("mpi: SetScheduler after traffic")
-	}
-	w.sched = sched
-}
-
-// schedule routes node's completion callback at time at.
-func (w *World) schedule(node topology.NodeID, at sim.Time, done func()) {
-	if w.sched != nil {
-		w.sched(node, at, done)
-		return
-	}
-	w.eng.At(at, done)
 }
 
 // Stats counts message-passing activity.
@@ -77,14 +50,7 @@ type pairKey struct {
 // (src,dst) channel; delivery is in-order.
 type pairQueue struct {
 	arrivals arrivalHeap // message arrival times
-	waiters  []waiter
-}
-
-// waiter is a pending completion callback tagged with the node it
-// releases, so the scheduler hook can route it.
-type waiter struct {
-	node topology.NodeID
-	fn   func()
+	waiters  []func()
 }
 
 type arrivalHeap []sim.Time
@@ -103,7 +69,7 @@ func (h *arrivalHeap) Pop() any {
 // collective tracks one in-flight barrier or reduction.
 type collective struct {
 	arrived int
-	waiters []waiter
+	waiters []func()
 	bytes   uint64
 	joined  map[topology.NodeID]bool
 }
@@ -130,9 +96,9 @@ func (w *World) Send(src, dst topology.NodeID, n uint64) {
 	arrive := w.eng.Now() + w.params.Transfer(int(n))
 	q := w.pair(src, dst)
 	if len(q.waiters) > 0 {
-		wt := q.waiters[0]
+		done := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		w.schedule(wt.node, arrive, wt.fn)
+		w.eng.At(arrive, done)
 		return
 	}
 	heap.Push(&q.arrivals, arrive)
@@ -146,10 +112,10 @@ func (w *World) Recv(dst, src topology.NodeID, done func()) {
 		if arrive < w.eng.Now() {
 			arrive = w.eng.Now()
 		}
-		w.schedule(dst, arrive, done)
+		w.eng.At(arrive, done)
 		return
 	}
-	q.waiters = append(q.waiters, waiter{node: dst, fn: done})
+	q.waiters = append(q.waiters, done)
 }
 
 func (w *World) pair(src, dst topology.NodeID) *pairQueue {
@@ -191,7 +157,7 @@ func (w *World) join(list *[]*collective, node topology.NodeID, bytes uint64, do
 	}
 	c.joined[node] = true
 	c.arrived++
-	c.waiters = append(c.waiters, waiter{node: node, fn: done})
+	c.waiters = append(c.waiters, done)
 	if bytes > c.bytes {
 		c.bytes = bytes
 	}
@@ -214,8 +180,8 @@ func (w *World) join(list *[]*collective, node topology.NodeID, bytes uint64, do
 		w.stats.Barriers++
 	}
 	release := w.eng.Now() + cost
-	for _, wt := range c.waiters {
-		w.schedule(wt.node, release, wt.fn)
+	for _, fn := range c.waiters {
+		w.eng.At(release, fn)
 	}
 }
 

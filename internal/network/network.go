@@ -164,29 +164,6 @@ type Network struct {
 	freeDeliveries []*deliveryEvent
 	freeGathers    []*gatherEntry
 	freeGroups     []*msg.Gather
-
-	router DeliveryRouter
-}
-
-// DeliveryRouter intercepts endpoint deliveries. The intra-run PDES
-// coordinator installs one so that a message whose wire time has been
-// computed on the (serial) coordinator engine is handed to the engine
-// owning the destination node's shard instead of this network's
-// engine. The router assumes ownership of m and must eventually invoke
-// the node's handler and release m to the configured pool; the
-// delivery is counted in Stats before routing.
-type DeliveryRouter interface {
-	RouteDelivery(m *msg.Message, node topology.NodeID, t sim.Time)
-}
-
-// SetDeliveryRouter installs r as the delivery interceptor (nil
-// restores direct delivery). Fault injection bypasses the router, so
-// combining the two is rejected.
-func (n *Network) SetDeliveryRouter(r DeliveryRouter) {
-	if r != nil && n.cfg.Injector != nil {
-		panic("network: delivery router and fault injector are mutually exclusive")
-	}
-	n.router = r
 }
 
 // deliveryEvent carries one scheduled handler invocation through the event
@@ -394,11 +371,6 @@ func (n *Network) deliver(m *msg.Message, node topology.NodeID, t sim.Time) {
 	if n.handlers[node] == nil {
 		panic(fmt.Sprintf("network: no handler attached at %v", node))
 	}
-	if n.router != nil {
-		n.stats.Deliveries++
-		n.router.RouteDelivery(m, node, t)
-		return
-	}
 	if inj := n.cfg.Injector; inj != nil {
 		act, at := inj.Arrival(m.Kind, m.Src, node, m.Gather != nil, t)
 		t = at
@@ -582,19 +554,6 @@ func (n *Network) AllocGather(spec directory.Dest, home topology.NodeID) *msg.Ga
 	}
 	//cenju4:alloc-ok pool miss grows the steady-state working set once, then recycles
 	return &msg.Gather{ID: n.nextGatherID, Spec: spec, Home: home}
-}
-
-// NoteGatherAlloc records the statistics of one gather-group
-// allocation performed outside AllocGather. The intra-run PDES layer
-// allocates groups shard-side (from per-shard freelists, with
-// shard-disjoint ID spaces) and defers the stats update to the serial
-// replay phase, where this network's counters are single-owner.
-func (n *Network) NoteGatherAlloc() {
-	n.stats.Gathers++
-	n.activeGathers++
-	if n.activeGathers > n.stats.PeakGathers {
-		n.stats.PeakGathers = n.activeGathers
-	}
 }
 
 // waitPattern computes, for the switch at reply-stage k on the path of a

@@ -168,31 +168,6 @@ func MapEach[R any](o Options, n int, fn func(i int) R, each func(i int, r R)) (
 	return results, compact(panicked)
 }
 
-// NestedBudget caps a per-run (inner) worker count so that outer
-// concurrent runs, each using the returned inner parallelism, never
-// oversubscribe the machine: outer × result ≤ GOMAXPROCS, with a floor
-// of 1. Sweep drivers that enable intra-run parallelism
-// (machine.Config.IntraParallel) must pass their Map parallelism as
-// outer; non-positive arguments mean GOMAXPROCS, matching
-// Options.Parallel semantics.
-func NestedBudget(outer, inner int) int {
-	procs := runtime.GOMAXPROCS(0)
-	if outer <= 0 {
-		outer = procs
-	}
-	if inner <= 0 {
-		inner = procs
-	}
-	budget := procs / outer
-	if budget < 1 {
-		budget = 1
-	}
-	if inner > budget {
-		inner = budget
-	}
-	return inner
-}
-
 // DeriveSeed expands a base seed into the seed for run i (splitmix64
 // applied twice, the repo's standard mixer — fuzz.CaseSeed and the
 // experiment ablations both use it). Runs on a worker pool must never

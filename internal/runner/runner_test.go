@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -248,27 +247,6 @@ func TestMapEachCancelDeliversCompletedStragglers(t *testing.T) {
 	for i := 4; i < 6; i++ {
 		if results[i] != 0 {
 			t.Fatalf("run %d executed after cancellation (result %d)", i, results[i])
-		}
-	}
-}
-
-// TestNestedBudget pins the Map × intra ≤ GOMAXPROCS rule.
-func TestNestedBudget(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		outer, inner, want int
-	}{
-		{1, 1, 1},
-		{1, procs, procs},     // sole run may use the whole machine
-		{procs, procs, 1},     // saturated sweep: no intra budget
-		{0, 0, 1},             // both default to GOMAXPROCS
-		{2 * procs, 8, 1},     // oversubscribed sweep still gets the floor
-		{1, 3 * procs, procs}, // inner request clamped to the machine
-	}
-	for _, c := range cases {
-		if got := NestedBudget(c.outer, c.inner); got != c.want {
-			t.Errorf("NestedBudget(%d, %d) = %d, want %d (GOMAXPROCS=%d)",
-				c.outer, c.inner, got, c.want, procs)
 		}
 	}
 }

@@ -46,11 +46,8 @@ type Payload struct {
 // renders its cache entry. It honours ctx (wall-clock timeout,
 // shutdown) and maxEvents (per-job event budget) via
 // machine.RunContext, and validates machine-wide coherence before
-// trusting the result. intraWorkers caps the PDES shard threads of a
-// spec with IntraParallel > 1 (0 = one per shard, up to GOMAXPROCS);
-// the server derives it with runner.NestedBudget so pool workers times
-// shard workers stays within the process budget.
-func Execute(ctx context.Context, dig string, spec Spec, maxEvents uint64, intraWorkers int) (*Entry, *metrics.Registry, error) {
+// trusting the result.
+func Execute(ctx context.Context, dig string, spec Spec, maxEvents uint64) (*Entry, *metrics.Registry, error) {
 	app, err := npb.ParseApp(spec.App)
 	if err != nil {
 		return nil, nil, err
@@ -72,14 +69,12 @@ func Execute(ctx context.Context, dig string, spec Spec, maxEvents uint64, intra
 		return nil, nil, err
 	}
 	m := machine.New(machine.Config{
-		Nodes:         spec.Nodes,
-		Stages:        spec.Stages,
-		Multicast:     !spec.NoMulticast,
-		Mode:          spec.mode(),
-		UpdateMode:    w.UpdateMode,
-		Fault:         spec.fault(),
-		IntraParallel: spec.IntraParallel,
-		IntraWorkers:  intraWorkers,
+		Nodes:      spec.Nodes,
+		Stages:     spec.Stages,
+		Multicast:  !spec.NoMulticast,
+		Mode:       spec.mode(),
+		UpdateMode: w.UpdateMode,
+		Fault:      spec.fault(),
 	})
 	var col *trace.Collector
 	if spec.TraceMax > 0 {

@@ -24,11 +24,11 @@ func runSpec(t *testing.T) Spec {
 func TestExecuteDeterministic(t *testing.T) {
 	spec := runSpec(t)
 	dig := spec.Digest()
-	a, _, err := Execute(context.Background(), dig, spec, 0, 0)
+	a, _, err := Execute(context.Background(), dig, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Execute(context.Background(), dig, spec, 0, 0)
+	b, _, err := Execute(context.Background(), dig, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestExecuteTrace(t *testing.T) {
 	traced := plain
 	traced.TraceMax = 4096
 
-	pe, _, err := Execute(context.Background(), plain.Digest(), plain, 0, 0)
+	pe, _, err := Execute(context.Background(), plain.Digest(), plain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	te, _, err := Execute(context.Background(), traced.Digest(), traced, 0, 0)
+	te, _, err := Execute(context.Background(), traced.Digest(), traced, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,47 +98,11 @@ func TestExecuteTrace(t *testing.T) {
 	}
 }
 
-// TestExecuteIntraParallelIdentity: a PDES spec is a distinct cache
-// entry (intra_parallel is digested) but its simulation is
-// byte-identical to the sequential kernel's — the two payloads carry
-// the same machine result digest.
-func TestExecuteIntraParallelIdentity(t *testing.T) {
-	seq := runSpec(t)
-	par := seq
-	par.IntraParallel = 4
-	par = par.Normalize()
-	if err := par.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if par.Digest() == seq.Digest() {
-		t.Fatal("intra_parallel did not split the cache keyspace")
-	}
-	se, _, err := Execute(context.Background(), seq.Digest(), seq, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, _, err := Execute(context.Background(), par.Digest(), par, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sd, pd Payload
-	if err := json.Unmarshal(se.Body, &sd); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(pe.Body, &pd); err != nil {
-		t.Fatal(err)
-	}
-	if sd.Result.ResultDigest != pd.Result.ResultDigest {
-		t.Fatalf("intra_parallel perturbed the simulation: %s vs %s",
-			pd.Result.ResultDigest, sd.Result.ResultDigest)
-	}
-}
-
 // TestExecuteEventBudget: a tiny event budget aborts the run with
 // machine.ErrEventBudget rather than returning a partial result.
 func TestExecuteEventBudget(t *testing.T) {
 	spec := runSpec(t)
-	e, _, err := Execute(context.Background(), spec.Digest(), spec, 100, 0)
+	e, _, err := Execute(context.Background(), spec.Digest(), spec, 100)
 	if !errors.Is(err, machine.ErrEventBudget) {
 		t.Fatalf("err = %v, want ErrEventBudget", err)
 	}
@@ -152,7 +116,7 @@ func TestExecuteCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	spec := runSpec(t)
-	if _, _, err := Execute(ctx, spec.Digest(), spec, 0, 0); !errors.Is(err, context.Canceled) {
+	if _, _, err := Execute(ctx, spec.Digest(), spec, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -169,11 +133,11 @@ func TestExecuteRecoverableFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	dig := spec.Digest()
-	a, _, err := Execute(context.Background(), dig, spec, 0, 0)
+	a, _, err := Execute(context.Background(), dig, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Execute(context.Background(), dig, spec, 0, 0)
+	b, _, err := Execute(context.Background(), dig, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +149,7 @@ func TestExecuteRecoverableFault(t *testing.T) {
 	}
 
 	clean := runSpec(t)
-	ce, _, err := Execute(context.Background(), clean.Digest(), clean, 0, 0)
+	ce, _, err := Execute(context.Background(), clean.Digest(), clean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +180,7 @@ func TestExecuteUnrecoverableFaultTripsWatchdog(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := Execute(context.Background(), spec.Digest(), spec, 0, 0)
+	e, _, err := Execute(context.Background(), spec.Digest(), spec, 0)
 	if !errors.Is(err, machine.ErrDeadlock) {
 		t.Fatalf("err = %v, want machine.ErrDeadlock", err)
 	}

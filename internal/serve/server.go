@@ -12,7 +12,6 @@ import (
 
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
-	"cenju4/internal/runner"
 )
 
 // Cache-disposition values reported in the X-Cenju4-Cache response
@@ -94,10 +93,7 @@ func New(cfg Config) *Server {
 	exec := cfg.Exec
 	if exec == nil {
 		exec = func(ctx context.Context, dig string, spec Spec) (*Entry, *metrics.Registry, error) {
-			// Pool workers x PDES shard workers must not oversubscribe
-			// the process; NestedBudget splits GOMAXPROCS between them.
-			return Execute(ctx, dig, spec, cfg.Limits.MaxEvents,
-				runner.NestedBudget(cfg.Workers, spec.IntraParallel))
+			return Execute(ctx, dig, spec, cfg.Limits.MaxEvents)
 		}
 	}
 	s.pool = NewPool(PoolConfig{

@@ -64,6 +64,7 @@ func TestSubmitRejections(t *testing.T) {
 		{"not json", "app=cg", http.StatusBadRequest, "malformed spec"},
 		{"unknown field", `{"app":"cg","variant":"dsm2","frobnicate":1}`, http.StatusBadRequest, "malformed spec"},
 		{"wrong type", `{"app":"cg","variant":"dsm2","nodes":"many"}`, http.StatusBadRequest, "malformed spec"},
+		{"removed intra_parallel", `{"app":"cg","variant":"dsm2","intra_parallel":4}`, http.StatusBadRequest, "malformed spec"},
 		{"unknown app", `{"app":"lu","variant":"dsm2"}`, http.StatusBadRequest, "unknown application"},
 		{"unknown variant", `{"app":"cg","variant":"omp"}`, http.StatusBadRequest, "unknown variant"},
 		{"bad node count", `{"app":"cg","variant":"dsm2","nodes":24}`, http.StatusBadRequest, "power of two"},

@@ -89,16 +89,6 @@ type Spec struct {
 	// diagnosis (classified distinctly from budget and timeout
 	// aborts). Empty means fault-free.
 	Fault string `json:"fault,omitempty"`
-	// IntraParallel shards the run's simulated nodes over K
-	// conservative-PDES partitions that advance in parallel windows
-	// (see internal/psim). 0 or 1 selects the sequential kernel. The
-	// result payload is byte-identical at every setting — the field
-	// exists so operators can trade cores for latency on big jobs — but
-	// it is part of the digest, so PDES and sequential runs of one
-	// experiment are distinct cache entries. Must be a power of two
-	// dividing the node count; incompatible with the "mpi" variant
-	// (blocking Recv has zero lookahead), fault plans, and tracing.
-	IntraParallel int `json:"intra_parallel,omitempty"`
 }
 
 // Normalize returns the canonical form of s: defaults filled in and
@@ -125,9 +115,6 @@ func (s Spec) Normalize() Spec {
 	}
 	if s.TraceMax < 0 {
 		s.TraceMax = 0
-	}
-	if s.IntraParallel == 0 {
-		s.IntraParallel = 1
 	}
 	if s.Fault != "" {
 		// Canonicalize so "drop=0.02" and " DROP=0.02 " digest alike;
@@ -195,20 +182,6 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("serve: bad spec: %w", err)
 		}
 	}
-	if k := s.IntraParallel; k > 1 {
-		if k&(k-1) != 0 || k > s.Nodes {
-			return fmt.Errorf("serve: bad spec: intra_parallel %d must be a power of two <= %d nodes", k, s.Nodes)
-		}
-		if v == npb.MPI {
-			return fmt.Errorf("serve: bad spec: intra_parallel > 1 is incompatible with the mpi variant (blocking Recv has zero lookahead)")
-		}
-		if s.Fault != "" {
-			return fmt.Errorf("serve: bad spec: intra_parallel > 1 is incompatible with fault injection")
-		}
-		if s.TraceMax > 0 {
-			return fmt.Errorf("serve: bad spec: intra_parallel > 1 is incompatible with tracing")
-		}
-	}
 	return nil
 }
 
@@ -235,8 +208,9 @@ func (s Spec) mode() core.Mode {
 
 // specEncoding versions the digest encoding. Bump it when a field is
 // added or the canonical form changes: old cache entries then miss
-// instead of aliasing new specs. (v2: fault plan; v3: intra_parallel.)
-const specEncoding = "cenju4-serve spec v3"
+// instead of aliasing new specs. (v2: fault plan; v3: intra-run shard
+// count; v4: shard count removed.)
+const specEncoding = "cenju4-serve spec v4"
 
 // Digest returns the content address of a spec: the canonical SHA-256
 // of its normalized encoding. Every field that can change a
@@ -252,7 +226,6 @@ func (s Spec) Digest() string {
 	w.Printf("protocol=%q stages=%d multicast=%t update=%t trace=%d\n",
 		n.Protocol, n.Stages, !n.NoMulticast, n.UpdateProtocol, n.TraceMax)
 	w.Printf("fault=%q\n", n.Fault)
-	w.Printf("intra=%d\n", n.IntraParallel)
 	return w.Sum()
 }
 

@@ -66,12 +66,6 @@ func TestValidate(t *testing.T) {
 		{"odd stages", func(s *Spec) { s.Stages = 3 }, false},
 		{"seq with many nodes", func(s *Spec) { s.App = "cg"; s.Variant = "seq"; s.Nodes = 8 }, false},
 		{"fault preset", func(s *Spec) { s.Fault = "light-loss" }, true},
-		{"intra parallel", func(s *Spec) { s.IntraParallel = 4 }, true},
-		{"intra non-power-of-two", func(s *Spec) { s.IntraParallel = 3 }, false},
-		{"intra over nodes", func(s *Spec) { s.IntraParallel = 32 }, false},
-		{"intra with mpi", func(s *Spec) { s.Variant = "mpi"; s.IntraParallel = 4 }, false},
-		{"intra with fault", func(s *Spec) { s.Fault = "light-loss"; s.IntraParallel = 4 }, false},
-		{"intra with trace", func(s *Spec) { s.TraceMax = 100; s.IntraParallel = 4 }, false},
 		{"fault kv", func(s *Spec) { s.Fault = "drop=0.02,seed=7" }, true},
 		{"unparsable fault", func(s *Spec) { s.Fault = "frobnicate" }, false},
 		{"out-of-range fault", func(s *Spec) { s.Fault = "drop=2" }, false},
@@ -94,7 +88,7 @@ func TestValidate(t *testing.T) {
 // fails without a deliberate bump of specEncoding, the change would
 // silently split the service's cache keyspace.
 func TestDigestGoldenStability(t *testing.T) {
-	const want = "1b1b31d3a6499f3b7ef4227dd68a0ddaef4f23908f413ccaba43ca1cddeb12e1"
+	const want = "1ff0e118ffce5101998a3acf63a3306844996259604944d29e84901f3022e097"
 	if got := validSpec().Digest(); got != want {
 		t.Fatalf("spec digest changed:\n got  %s\n want %s\n(if intentional, bump specEncoding and update this golden)", got, want)
 	}
@@ -135,7 +129,6 @@ func TestDigestFieldSensitivity(t *testing.T) {
 		"UpdateProtocol": func(s *Spec) { s.UpdateProtocol = true },
 		"TraceMax":       func(s *Spec) { s.TraceMax = 1000 },
 		"Fault":          func(s *Spec) { s.Fault = "light-loss" },
-		"IntraParallel":  func(s *Spec) { s.IntraParallel = 4 },
 	}
 	for field, mutate := range mutations {
 		s := validSpec()

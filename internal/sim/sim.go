@@ -43,7 +43,6 @@ type Event struct {
 	fnc    func(any)
 	arg    any
 	next   *Event // intrusive calendar-queue bucket link (see calqueue.go)
-	rank   *Rank  // ranked-mode ordering key (nil in sequential mode; see rank.go)
 	dead   bool   // canceled before firing
 	queued bool   // currently in the calendar queue
 }
@@ -64,22 +63,8 @@ type Engine struct {
 	seq     uint64
 	queue   calQueue
 	fired   uint64
-	lastAt  Time // time of the most recently fired event
 	stopped bool
 	idle    func()
-
-	// Ranked mode (see rank.go): events are ordered by (time, Rank)
-	// instead of (time, seq), which lets an outside coordinator inject
-	// events whose ordering reproduces the sequential engine's insertion
-	// order exactly. Sequential mode never touches these fields.
-	ranked   bool
-	rh       rankHeap
-	curRank  *Rank  // rank of the currently firing event (nil in driver context)
-	pushSlot uint64 // per-firing-context push counter
-	drvTime  Time   // current driver section's virtual time
-	drvSec   uint64 // driver section counter
-	drvSlot  uint64 // push counter within the current driver section
-	drvPre   bool   // current driver section precedes the run (sorts first)
 
 	// free and chunk implement the event pool: fired events return to
 	// free; fresh events are carved from chunk in blocks so one
@@ -105,12 +90,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue (canceled
 // events do not count).
-func (e *Engine) Pending() int {
-	if e.ranked {
-		return e.rh.size
-	}
-	return e.queue.size
-}
+func (e *Engine) Pending() int { return e.queue.size }
 
 // alloc returns a zeroed event record from the pool.
 func (e *Engine) alloc() *Event {
@@ -134,7 +114,6 @@ func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.fnc = nil
 	ev.arg = nil
-	ev.rank = nil
 	ev.queued = false
 	e.free = append(e.free, ev)
 }
@@ -159,11 +138,6 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	if e.ranked {
-		*ev = Event{at: t, rank: e.nextRank(), fn: fn, queued: true}
-		e.rh.push(ev)
-		return ev
-	}
 	*ev = Event{at: t, seq: e.seq, fn: fn, queued: true}
 	e.seq++
 	e.queue.push(ev)
@@ -183,11 +157,6 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	if e.ranked {
-		*ev = Event{at: t, rank: e.nextRank(), fnc: fn, arg: arg, queued: true}
-		e.rh.push(ev)
-		return ev
-	}
 	*ev = Event{at: t, seq: e.seq, fnc: fn, arg: arg, queued: true}
 	e.seq++
 	e.queue.push(ev)
@@ -219,10 +188,6 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	ev.dead = true
 	ev.queued = false
-	if e.ranked {
-		e.rh.size--
-		return
-	}
 	e.queue.size--
 	e.queue.dead++
 }
@@ -232,7 +197,7 @@ func (e *Engine) Cancel(ev *Event) {
 //
 //cenju4:hotpath
 func (e *Engine) Step() bool {
-	ev := e.pop()
+	ev := e.queue.pop()
 	if ev == nil {
 		return false
 	}
@@ -240,36 +205,15 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// pop removes the earliest pending event from whichever queue the
-// engine runs on (nil when empty).
-//
-//cenju4:hotpath
-func (e *Engine) pop() *Event {
-	if e.ranked {
-		return e.rh.pop()
-	}
-	return e.queue.pop()
-}
-
-// fireEvent advances the clock to ev and runs its callback. In ranked
-// mode the event's rank becomes the push context for everything the
-// callback schedules.
+// fireEvent advances the clock to ev and runs its callback.
 //
 //cenju4:hotpath
 func (e *Engine) fireEvent(ev *Event) {
 	e.now = ev.at
-	e.lastAt = ev.at
 	e.fired++
 	fn, fnc, arg := ev.fn, ev.fnc, ev.arg
-	if e.ranked {
-		e.curRank = ev.rank
-		e.pushSlot = 0
-	}
 	e.recycle(ev)
 	fire(fn, fnc, arg)
-	if e.ranked {
-		e.curRank = nil
-	}
 }
 
 // SetIdleFunc installs fn (nil removes it), invoked by Run every time
@@ -352,7 +296,7 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.fired
 	e.stopped = false
 	for !e.stopped {
-		ev := e.pop()
+		ev := e.queue.pop()
 		if ev == nil {
 			// True drain: give the idle func its quiescent point; if it
 			// refills the queue, keep going (Run behaves identically).
@@ -365,7 +309,7 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 			break
 		}
 		if ev.at > deadline {
-			e.unpop(ev) // not due: put it back (ordering key preserved)
+			e.queue.push(ev) // not due: put it back (seq preserved)
 			break
 		}
 		e.fireEvent(ev)
@@ -374,17 +318,6 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 		e.now = deadline
 	}
 	return e.fired - start
-}
-
-// unpop returns a popped-but-not-fired event to the queue. Its ordering
-// key (seq or rank) is untouched, so the put-back cannot perturb
-// tie-breaking.
-func (e *Engine) unpop(ev *Event) {
-	if e.ranked {
-		e.rh.push(ev)
-		return
-	}
-	e.queue.push(ev)
 }
 
 // RunFor runs events within the next d nanoseconds (see RunUntil). A

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
@@ -13,6 +14,13 @@ func TestEngineStartsAtZero(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d, want 0", e.Pending())
+	}
+}
+
+// TestEventSize pins the pooled event record at one 64-byte cache line.
+func TestEventSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Event{}); sz != 64 {
+		t.Fatalf("sizeof(Event) = %d, want 64", sz)
 	}
 }
 

@@ -5,7 +5,10 @@ package sim
 // without draining or canceling anything, does not count as
 // quiescence, and does not persist across Run calls.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestStopLeavesPendingEventsQueued: events not yet fired when Stop
 // takes effect stay queued (not canceled) and fire on the next Run.
@@ -146,5 +149,172 @@ func TestCanceledSurvivesStop(t *testing.T) {
 	}
 	if !ev.Canceled() {
 		t.Fatal("Canceled() false after draining Run")
+	}
+}
+
+// --- RunUntil idle parity with Run/RunChunk ---
+
+// driveRounds builds a workload whose driver injects one batch of
+// events per idle callback, for `rounds` rounds, each batch `step` ns
+// after the previous drain. Returns the engine and a pointer to the
+// idle-callback count.
+func driveRounds(rounds int, step Time) (*Engine, *int) {
+	e := NewEngine()
+	idles := 0
+	round := 0
+	e.SetIdleFunc(func() {
+		idles++
+		if round < rounds {
+			round++
+			e.After(step, func() {})
+		}
+	})
+	e.After(step, func() {})
+	return e, &idles
+}
+
+// TestIdleCountParityAcrossRunModes pins the idle-callback count of
+// Run, RunChunk, and RunUntil on the same round-injecting workload.
+// RunUntil historically skipped the idle func on queue drain, so
+// quiescent hooks went dark under window-bounded execution.
+func TestIdleCountParityAcrossRunModes(t *testing.T) {
+	const rounds = 5
+	const step = Time(10)
+
+	runN := func(e *Engine) uint64 { return e.Run() }
+	chunkN := func(e *Engine) uint64 {
+		var total uint64
+		for {
+			n, more := e.RunChunk(3)
+			total += n
+			if !more {
+				return total
+			}
+		}
+	}
+	untilN := func(e *Engine) uint64 { return e.RunUntil(Time(1_000_000)) }
+
+	type result struct {
+		fired uint64
+		idles int
+	}
+	results := map[string]result{}
+	for name, drive := range map[string]func(*Engine) uint64{
+		"Run": runN, "RunChunk": chunkN, "RunUntil": untilN,
+	} {
+		e, idles := driveRounds(rounds, step)
+		fired := drive(e)
+		results[name] = result{fired, *idles}
+	}
+
+	want := results["Run"]
+	if want.idles != rounds+1 {
+		t.Fatalf("Run: idle count = %d, want %d (one per round + final drain)", want.idles, rounds+1)
+	}
+	for name, got := range results {
+		if got != want {
+			t.Errorf("%s: (fired=%d, idles=%d), want (fired=%d, idles=%d) as in Run",
+				name, got.fired, got.idles, want.fired, want.idles)
+		}
+	}
+}
+
+// TestRunUntilIdleRespectsDeadline checks that events the idle func
+// schedules beyond the deadline stay queued: the idle func fires at
+// the drain, but the window boundary still holds.
+func TestRunUntilIdleRespectsDeadline(t *testing.T) {
+	e := NewEngine()
+	idles := 0
+	e.SetIdleFunc(func() {
+		idles++
+		if idles == 1 {
+			e.At(200, func() {}) // beyond the window
+		}
+	})
+	e.At(50, func() {})
+	fired := e.RunUntil(100)
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1 (the t=50 event only)", fired)
+	}
+	if idles != 1 {
+		t.Fatalf("idle count = %d, want 1 (single drain; t=200 refill is past deadline)", idles)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1 (idle-scheduled t=200 event held for next window)", e.Pending())
+	}
+	if e.Now() != 100 {
+		t.Fatalf("Now = %v, want deadline 100", e.Now())
+	}
+}
+
+// TestRunUntilIdleNotCalledOnStop: a stopped engine is paused, not
+// quiescent — same rule Run follows.
+func TestRunUntilIdleNotCalledOnStop(t *testing.T) {
+	e := NewEngine()
+	idles := 0
+	e.SetIdleFunc(func() { idles++ })
+	e.At(10, func() { e.Stop() })
+	e.At(20, func() {})
+	e.RunUntil(100)
+	if idles != 0 {
+		t.Fatalf("idle count = %d, want 0 after Stop", idles)
+	}
+}
+
+// --- After/RunFor overflow diagnosis ---
+
+func mustPanicContaining(t *testing.T, substr string, fn func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic; want panic mentioning %q", substr)
+		}
+		msg := fmt.Sprint(r)
+		if !contains(msg, substr) {
+			t.Fatalf("panic %q does not mention %q", msg, substr)
+		}
+	}()
+	fn()
+}
+
+func contains(s, sub string) bool {
+	for i := 0; i+len(sub) <= len(s); i++ {
+		if s[i:i+len(sub)] == sub {
+			return true
+		}
+	}
+	return false
+}
+
+func TestAfterOverflowPanics(t *testing.T) {
+	e := NewEngine()
+	e.At(100, func() {})
+	e.Run()
+	// now = 100; adding ^Time(0) wraps to 99 — in the past. Without the
+	// check this would surface as a misleading scheduling-in-the-past
+	// panic; the overflow diagnosis names the real bug.
+	mustPanicContaining(t, "overflows sim.Time", func() {
+		e.After(^Time(0), func() {})
+	})
+}
+
+func TestRunForOverflowPanics(t *testing.T) {
+	e := NewEngine()
+	e.At(100, func() {})
+	e.Run()
+	mustPanicContaining(t, "overflows sim.Time", func() {
+		e.RunFor(^Time(0))
+	})
+}
+
+func TestAfterMaxNonWrappingDelayOK(t *testing.T) {
+	e := NewEngine()
+	e.At(100, func() {})
+	e.Run()
+	// The largest delay that does not wrap must still be accepted.
+	ev := e.After(^Time(0)-100, func() {})
+	if ev.When() != ^Time(0) {
+		t.Fatalf("When = %v, want max Time", ev.When())
 	}
 }
