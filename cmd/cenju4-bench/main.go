@@ -5,6 +5,7 @@
 //
 //	cenju4-bench [-quick|-full] [-scale f] [-iters n] [-only name]
 //	             [-metrics-out m.json] [-trace-out t.json] [-trace-max n]
+//	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Experiment names: table1, table2, table3, table4, fig4, fig10, fig11,
 // fig12, futurework, ablations. The default runs everything under the
@@ -21,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"cenju4/cmd/internal/profiling"
 	"cenju4/internal/experiments"
 	"cenju4/internal/faults"
 	"cenju4/internal/metrics"
@@ -40,7 +42,12 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the merged metrics registry of all machine runs as canonical JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace-event (Perfetto-loadable) JSON file covering all machine runs")
 	traceMax := flag.Int("trace-max", 1<<16, "per-run trace event capacity for -trace-out; excess events are counted and surfaced")
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		log.Fatal(err)
+	}
+	defer prof.Stop()
 
 	cfg := experiments.Quick()
 	if *full {

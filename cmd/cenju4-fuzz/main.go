@@ -10,6 +10,7 @@
 //	cenju4-fuzz -metrics-out m.json                   # merged case metrics
 //	cenju4-fuzz -replay N -trace-out t.json           # Perfetto trace of
 //	                                                    the replayed case
+//	cenju4-fuzz -cpuprofile cpu.pprof -memprofile mem.pprof  # pprof files
 //
 // The run is deterministic: the same seed and flags reproduce a
 // byte-identical report. On any oracle violation, invariant failure or
@@ -24,6 +25,7 @@ import (
 	"runtime"
 	"strings"
 
+	"cenju4/cmd/internal/profiling"
 	"cenju4/internal/core"
 	"cenju4/internal/faults"
 	"cenju4/internal/fuzz"
@@ -31,6 +33,9 @@ import (
 	"cenju4/internal/topology"
 	"cenju4/internal/trace"
 )
+
+// prof is package-level so the failure exits in replayCase can flush it.
+var prof = profiling.Register(flag.CommandLine)
 
 func main() {
 	log.SetFlags(0)
@@ -54,6 +59,10 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the merged metrics registry of all cases as canonical JSON to this file")
 	traceOut := flag.String("trace-out", "", "write the replayed case's Chrome-trace-event JSON to this file (requires -replay)")
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		log.Fatal(err)
+	}
+	defer prof.Stop()
 
 	if *traceOut != "" && *replay == 0 {
 		log.Fatal("-trace-out requires -replay: full-matrix runs do not retain per-case event streams")
@@ -121,6 +130,7 @@ func main() {
 		}
 	}
 	if rep.Failed() {
+		prof.Stop()
 		os.Exit(1)
 	}
 }
@@ -202,6 +212,7 @@ func replayCase(opts fuzz.Options, caseSeed uint64, metricsOut, traceOut string)
 			if res.TraceDump != "" {
 				fmt.Println(res.TraceDump)
 			}
+			prof.Stop()
 			os.Exit(1)
 		}
 	}

@@ -9,7 +9,8 @@
 //	cenju4-perfgate -baseline BENCH_sim.json -bench bench.txt [-tolerance 2.5]
 //
 // With -bench - (the default) the bench output is read from stdin, so
-// the two commands pipe together in CI.
+// the two commands pipe together in CI. The gate warns when this host's
+// CPU, core count or GOMAXPROCS differ from the baseline's.
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"cenju4/internal/perfgate"
 )
@@ -55,6 +57,7 @@ func main() {
 	err = perfgate.Gate(os.Stdout, baseline, samples, perfgate.Options{
 		Tolerance:      *tolerance,
 		AllocTolerance: *allocTolerance,
+		NProc:          runtime.NumCPU(),
 	})
 	if err != nil {
 		fatal(err)

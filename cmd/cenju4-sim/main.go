@@ -5,6 +5,7 @@
 //
 //	cenju4-sim -app bt -variant dsm2 -nodes 64 [-nomap] [-scale f] [-iters n]
 //	           [-seed n] [-metrics-out m.json] [-trace-out t.json] [-trace-max n]
+//	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The simulation is fully deterministic: the same flags always produce
 // the same summary, the same -metrics-out report, and the same
@@ -20,6 +21,7 @@ import (
 	"sort"
 
 	"cenju4"
+	"cenju4/cmd/internal/profiling"
 	"cenju4/internal/metrics"
 	"cenju4/internal/trace"
 )
@@ -38,7 +40,12 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry as canonical JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace-event (Perfetto-loadable) JSON file")
 	traceMax := flag.Int("trace-max", 1<<20, "trace event capacity; excess events are counted and surfaced")
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		log.Fatal(err)
+	}
+	defer prof.Stop()
 
 	opts := cenju4.WorkloadOptions{
 		Nodes:      *nodes,

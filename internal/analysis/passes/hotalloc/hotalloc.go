@@ -17,8 +17,8 @@
 //     a function-local slice never created by a capacity-carrying
 //     make(T, len, cap) in the same function. Appends that grow a
 //     field, parameter or captured slice in place are allowed — those
-//     amortize into the structure's standing capacity (the event pool,
-//     the calendar-queue buckets, a caller-provided buffer)
+//     amortize into the structure's standing capacity (the event pool's
+//     free list, a caller-provided buffer)
 //   - fmt calls, whose variadic ...any parameters box their arguments
 //     (and whose formatting allocates the result)
 //   - capturing closures: a func literal referencing variables of the

@@ -4,7 +4,7 @@ package experiments
 // string — the suite's actual observable output — must be
 // byte-identical whether the runs execute sequentially or sharded
 // across eight workers. Together with the fuzz report test in
-// internal/fuzz and the calendar-queue differential test in
+// internal/fuzz and the event-queue differential test in
 // internal/sim this locks down the parallel-runner rework; the cheap
 // half runs under -race in CI's race job.
 

@@ -4,7 +4,7 @@ package fuzz
 // the tool's actual observable output — must be byte-identical whether
 // cases run sequentially or sharded across eight workers. This is one
 // of the two headline guarantees of the runner rework (the other is the
-// calendar-queue differential test in internal/sim) and runs under
+// event-queue differential test in internal/sim) and runs under
 // -race in CI's race job.
 
 import (

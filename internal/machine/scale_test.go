@@ -234,8 +234,8 @@ func TestSteadyStateProtocolAllocs(t *testing.T) {
 	round() // warm pools, pages, histograms, rings
 	avg := testing.AllocsPerRun(5, round)
 	// 16 CPU restarts schedule 16 pooled events; the budget leaves room
-	// for pool top-ups and an occasional calendar-queue resize, and is
-	// still three orders of magnitude below one alloc per operation.
+	// for pool top-ups and an occasional new event slab, and is still
+	// three orders of magnitude below one alloc per operation.
 	const budget = 64
 	t.Logf("steady-state round: %.1f allocs for %d protocol ops", avg, nodes*opsPerNode)
 	if avg > budget {

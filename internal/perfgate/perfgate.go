@@ -13,6 +13,10 @@
 // b.ReportMetric columns (BENCH_scale.json pins a msgs/sec minimum on
 // the 1024-node storm benchmark); floors divide by the same tolerance
 // the ceilings multiply by.
+//
+// Baselines also record the host they were measured on (CPU model, core
+// count, GOMAXPROCS). Gate warns, without changing the verdict, when the
+// fresh run's host differs: the bands only mean much on like hardware.
 package perfgate
 
 import (
@@ -28,9 +32,15 @@ import (
 // Baseline mirrors the schema of BENCH_sim.json (fields the gate does
 // not use are ignored).
 type Baseline struct {
-	Description string              `json:"description"`
-	Command     string              `json:"command"`
-	Benchmarks  []BaselineBenchmark `json:"benchmarks"`
+	Description string `json:"description"`
+	Command     string `json:"command"`
+	// CPU, NProc and GOMAXPROCS describe the host the bands were measured
+	// on: the bench output's "cpu:" header, the core count, and the
+	// benchmark names' -N suffix. Zero values mean unrecorded.
+	CPU        string              `json:"cpu"`
+	NProc      int                 `json:"nproc"`
+	GOMAXPROCS int                 `json:"gomaxprocs"`
+	Benchmarks []BaselineBenchmark `json:"benchmarks"`
 }
 
 // BaselineBenchmark is one benchmark's committed expectation.
@@ -74,6 +84,8 @@ func ParseBaseline(r io.Reader) (Baseline, error) {
 // Sample is one parsed benchmark result line.
 type Sample struct {
 	Name     string  // benchmark name with the -N cpu suffix stripped
+	CPU      string  // the output's most recent "cpu:" header, "" if none
+	Procs    int     // GOMAXPROCS: the stripped -N suffix, 1 if absent
 	NsOp     float64 // ns/op
 	BOp      float64 // B/op, -1 if the line had no -benchmem columns
 	AllocsOp float64 // allocs/op, -1 likewise
@@ -87,10 +99,15 @@ type Sample struct {
 // skipped; a -count > 1 run yields multiple samples per name.
 func ParseBench(r io.Reader) ([]Sample, error) {
 	var out []Sample
+	cpu := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if c, ok := strings.CutPrefix(line, "cpu:"); ok {
+			cpu = strings.TrimSpace(c)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -103,7 +120,8 @@ func ParseBench(r io.Reader) ([]Sample, error) {
 		if err != nil {
 			continue
 		}
-		s := Sample{Name: trimCPUSuffix(f[0]), NsOp: ns, BOp: -1, AllocsOp: -1}
+		name, procs := splitCPUSuffix(f[0])
+		s := Sample{Name: name, CPU: cpu, Procs: procs, NsOp: ns, BOp: -1, AllocsOp: -1}
 		for i := 4; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
@@ -132,14 +150,16 @@ func ParseBench(r io.Reader) ([]Sample, error) {
 	return out, nil
 }
 
-// trimCPUSuffix drops go test's -GOMAXPROCS suffix ("BenchmarkX-8").
-func trimCPUSuffix(name string) string {
+// splitCPUSuffix splits go test's -GOMAXPROCS suffix off a benchmark
+// name ("BenchmarkX-8" -> "BenchmarkX", 8). go test omits the suffix at
+// GOMAXPROCS 1.
+func splitCPUSuffix(name string) (string, int) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
 }
 
 // Verdict is the gate's decision for one baseline benchmark.
@@ -166,6 +186,9 @@ type Options struct {
 	// bound catches accidental per-event allocations — the exact
 	// regression class the event-kernel PR removed.
 	AllocTolerance float64
+	// NProc is the core count of the host that produced the samples
+	// (bench output does not record it); 0 skips the comparison.
+	NProc int
 }
 
 func (o Options) withDefaults() Options {
@@ -263,9 +286,33 @@ func checkFloors(bm BaselineBenchmark, ss []Sample, opts Options) string {
 	return ""
 }
 
+// hostDiff describes how the samples' host differs from the baseline's,
+// or returns "" when every fact known on both sides matches.
+func hostDiff(b Baseline, samples []Sample, nproc int) string {
+	var diffs []string
+	if len(samples) > 0 {
+		s := samples[0]
+		if b.CPU != "" && s.CPU != "" && s.CPU != b.CPU {
+			diffs = append(diffs, fmt.Sprintf("cpu %q (baseline %q)", s.CPU, b.CPU))
+		}
+		if b.GOMAXPROCS > 0 && s.Procs > 0 && s.Procs != b.GOMAXPROCS {
+			diffs = append(diffs, fmt.Sprintf("gomaxprocs %d (baseline %d)", s.Procs, b.GOMAXPROCS))
+		}
+	}
+	if b.NProc > 0 && nproc > 0 && nproc != b.NProc {
+		diffs = append(diffs, fmt.Sprintf("nproc %d (baseline %d)", nproc, b.NProc))
+	}
+	return strings.Join(diffs, ", ")
+}
+
 // Gate runs Check and renders a report; it returns an error listing
-// the failures if any benchmark regressed or is missing.
+// the failures if any benchmark regressed or is missing. A host that
+// differs from the baseline's adds one "WARN host differs" line first;
+// it does not change the verdict.
 func Gate(w io.Writer, b Baseline, samples []Sample, opts Options) error {
+	if d := hostDiff(b, samples, opts.NProc); d != "" {
+		fmt.Fprintf(w, "WARN host differs: %s; bands measured elsewhere may not apply\n", d)
+	}
 	verdicts := Check(b, samples, opts)
 	var failed []string
 	for _, v := range verdicts {

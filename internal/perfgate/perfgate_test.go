@@ -236,3 +236,44 @@ func TestCommittedBaselineParses(t *testing.T) {
 		}
 	}
 }
+
+// TestGateWarnsOnHostDiff: the gate reads the cpu header and -N suffix
+// and prints exactly one WARN line when the host differs from the
+// baseline's, without changing the verdict; a matching host prints none.
+func TestGateWarnsOnHostDiff(t *testing.T) {
+	samples, err := ParseBench(strings.NewReader(benchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := samples[0]; s.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || s.Procs != 8 {
+		t.Fatalf("host facts misparsed: cpu %q procs %d", s.CPU, s.Procs)
+	}
+	one, err := ParseBench(strings.NewReader("BenchmarkX  100  5000 ns/op\n"))
+	if err != nil || one[0].Procs != 1 {
+		t.Fatalf("no -N suffix should read as GOMAXPROCS 1: %+v, %v", one, err)
+	}
+	b := baseline(t)
+	b.CPU, b.NProc, b.GOMAXPROCS = "Intel(R) Xeon(R) Processor @ 2.10GHz", 8, 8
+	var buf bytes.Buffer
+	if err := Gate(&buf, b, samples, Options{NProc: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "WARN") {
+		t.Fatalf("matching host warned:\n%s", buf.String())
+	}
+
+	b.CPU, b.NProc, b.GOMAXPROCS = "AMD EPYC 7B13", 2, 2
+	buf.Reset()
+	if err := Gate(&buf, b, samples, Options{NProc: 4}); err != nil {
+		t.Fatalf("host difference changed the verdict: %v", err)
+	}
+	out := buf.String()
+	if n := strings.Count(out, "WARN host differs"); n != 1 {
+		t.Fatalf("%d WARN lines, want 1:\n%s", n, out)
+	}
+	for _, want := range []string{`cpu "Intel`, "gomaxprocs 8 (baseline 2)", "nproc 4 (baseline 2)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("warning lacks %q:\n%s", want, out)
+		}
+	}
+}

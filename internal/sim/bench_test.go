@@ -1,7 +1,7 @@
 package sim
 
 // Microbenchmarks for the event kernel. BENCH_sim.json records the
-// before/after numbers for the container/heap -> calendar-queue
+// before/after numbers for the calendar-queue -> timing-wheel
 // migration; regenerate with
 //
 //	go test ./internal/sim -bench 'BenchmarkEngine' -benchmem -count 5
@@ -11,7 +11,10 @@ package sim
 // delivery a few hundred nanoseconds out). The sparse case spreads the
 // same event count over a horizon six orders of magnitude wider. The
 // cancel case measures lazy deletion against the timer-like pattern
-// where most scheduled work is canceled before it fires.
+// where most scheduled work is canceled before it fires. The burst case
+// is one multicast delivery fanning out on a single tick; the bimodal
+// case mixes near and far chains, the shape of the paper-reproduction
+// sweeps.
 
 import "testing"
 
@@ -93,6 +96,53 @@ func BenchmarkEngineCancel(b *testing.B) {
 			if j%8 != 0 {
 				e.Cancel(ev)
 			}
+		}
+		e.Run()
+	}
+}
+
+func burstNop(any) {}
+
+// BenchmarkEngineRunBurst: one callback schedules 1024 events for one
+// tick, as a multicast delivery to 1024 nodes does, and the burst
+// drains. One op is one burst on a long-lived engine.
+func BenchmarkEngineRunBurst(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	burst := func() {
+		t := e.Now() + 50
+		for j := 0; j < 1024; j++ {
+			e.AtCall(t, burstNop, nil)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		e.After(100, burst)
+		e.Run()
+	}
+}
+
+// BenchmarkEngineRunBimodal runs 64 near chains (gaps of at most 200 ns)
+// beside 8 far chains (gaps of 50-100 us) over a 200 us horizon: a
+// dense near-future population with a few events far ahead of it.
+func BenchmarkEngineRunBimodal(b *testing.B) {
+	b.ReportAllocs()
+	const horizon = 200_000
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		for c := 0; c < 72; c++ {
+			c, depth := c, 0
+			var step func()
+			step = func() {
+				depth++
+				gap := Time(1 + (c*7+depth)%200)
+				if c >= 64 {
+					gap = Time(50_000 + (c*7919+depth*104729)%50_000)
+				}
+				if e.Now()+gap < horizon {
+					e.After(gap, step)
+				}
+			}
+			e.At(Time(c%13), step)
 		}
 		e.Run()
 	}

@@ -1,22 +1,21 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel is a single-threaded event queue ordered by (time, sequence
-// number). Ties on time are broken by insertion order, which makes every
-// simulation fully deterministic for a given input. All Cenju-4 component
-// models (switches, caches, protocol modules, processors) schedule work
+// The kernel is a single-threaded event queue ordered by time, with
+// ties broken by insertion order, which makes every simulation fully
+// deterministic for a given input. All Cenju-4 component models
+// (switches, caches, protocol modules, processors) schedule work
 // through one Engine.
 //
-// The queue is a lazy-delete bucketed calendar queue (see calqueue.go),
-// chosen for the simulator's near-monotonic schedule pattern; the
-// differential test in calqueue_test.go proves it dequeue-equivalent to
-// the reference binary heap. Event records are pooled: once an event
-// has fired, the engine recycles its storage for a later At/After. The
-// *Event handle returned by At/After is therefore valid for
-// Cancel/Canceled only until the event fires; retaining a handle past
-// that point and using it may observe an unrelated recycled event.
-// Canceled events are never recycled, so a canceled handle's Canceled()
-// stays true indefinitely. No simulation model in this repository
-// retains handles past firing.
+// The queue is a hierarchical timing wheel (see wheel.go) whose layout
+// gives that order without comparing keys; the differential test in
+// wheel_test.go proves it dequeue-equivalent to a reference binary heap.
+// Event records are pooled: once an event has fired, the engine
+// recycles its storage for a later At/After. The *Event handle returned
+// by At/After is therefore valid for Cancel/Canceled only until the
+// event fires; retaining a handle past that point and using it may
+// observe an unrelated recycled event. Canceled events are never
+// recycled, so a canceled handle's Canceled() stays true indefinitely.
+// No simulation model in this repository retains handles past firing.
 package sim
 
 import "fmt"
@@ -38,13 +37,12 @@ func (t Time) String() string { return fmt.Sprintf("%dns", uint64(t)) }
 // argument needs no closure object per event).
 type Event struct {
 	at     Time
-	seq    uint64
 	fn     func()
 	fnc    func(any)
 	arg    any
-	next   *Event // intrusive calendar-queue bucket link (see calqueue.go)
+	next   uint32 // id of the next event in the same wheel slot (see wheel.go)
 	dead   bool   // canceled before firing
-	queued bool   // currently in the calendar queue
+	queued bool   // currently in the wheel
 }
 
 // Canceled reports whether the event was canceled before firing. Only
@@ -55,32 +53,18 @@ func (e *Event) Canceled() bool { return e.dead }
 // When returns the time the event is scheduled for.
 func (e *Event) When() Time { return e.at }
 
-// Engine is a discrete-event simulation engine.
-//
-// The zero value is not usable; create engines with NewEngine.
+// Engine is a discrete-event simulation engine. Create engines with
+// NewEngine.
 type Engine struct {
+	idle    func()
 	now     Time
-	seq     uint64
-	queue   calQueue
 	fired   uint64
 	stopped bool
-	idle    func()
-
-	// free and chunk implement the event pool: fired events return to
-	// free; fresh events are carved from chunk in blocks so one
-	// allocation covers eventChunk schedules.
-	free  []*Event
-	chunk []Event
+	queue   wheel // also owns the pooled event records
 }
-
-const eventChunk = 256
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.queue.init()
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -90,42 +74,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue (canceled
 // events do not count).
-func (e *Engine) Pending() int { return e.queue.size }
-
-// alloc returns a zeroed event record from the pool.
-func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	if len(e.chunk) == 0 {
-		//cenju4:alloc-ok one block allocation amortizes over eventChunk schedules
-		e.chunk = make([]Event, eventChunk)
-	}
-	ev := &e.chunk[0]
-	e.chunk = e.chunk[1:]
-	return ev
-}
-
-// recycle returns a finished event record to the pool.
-func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
-	ev.fnc = nil
-	ev.arg = nil
-	ev.queued = false
-	e.free = append(e.free, ev)
-}
-
-// fire runs the event's callback after the record has been recycled.
-func fire(fn func(), fnc func(any), arg any) {
-	if fnc != nil {
-		fnc(arg)
-		return
-	}
-	fn()
-}
+func (e *Engine) Pending() int { return e.queue.live }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a model bug. Scheduling while the engine
@@ -137,10 +86,9 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := e.alloc()
-	*ev = Event{at: t, seq: e.seq, fn: fn, queued: true}
-	e.seq++
-	e.queue.push(ev)
+	id, ev := e.queue.alloc()
+	*ev = Event{at: t, fn: fn, queued: true}
+	e.queue.push(id, ev)
 	return ev
 }
 
@@ -156,10 +104,9 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := e.alloc()
-	*ev = Event{at: t, seq: e.seq, fnc: fn, arg: arg, queued: true}
-	e.seq++
-	e.queue.push(ev)
+	id, ev := e.queue.alloc()
+	*ev = Event{at: t, fnc: fn, arg: arg, queued: true}
+	e.queue.push(id, ev)
 	return ev
 }
 
@@ -188,7 +135,7 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	ev.dead = true
 	ev.queued = false
-	e.queue.size--
+	e.queue.live--
 	e.queue.dead++
 }
 
@@ -197,23 +144,29 @@ func (e *Engine) Cancel(ev *Event) {
 //
 //cenju4:hotpath
 func (e *Engine) Step() bool {
-	ev := e.queue.pop()
+	id, ev := e.queue.next(e.now, ^Time(0))
 	if ev == nil {
 		return false
 	}
-	e.fireEvent(ev)
+	e.fireEvent(id, ev)
 	return true
 }
 
-// fireEvent advances the clock to ev and runs its callback.
+// fireEvent advances the clock to event id (stored at ev), returns its
+// record to the pool and then runs its callback.
 //
 //cenju4:hotpath
-func (e *Engine) fireEvent(ev *Event) {
+func (e *Engine) fireEvent(id uint32, ev *Event) {
 	e.now = ev.at
 	e.fired++
 	fn, fnc, arg := ev.fn, ev.fnc, ev.arg
-	e.recycle(ev)
-	fire(fn, fnc, arg)
+	ev.fn, ev.fnc, ev.arg, ev.queued = nil, nil, nil, false
+	e.queue.free = append(e.queue.free, id)
+	if fnc != nil {
+		fnc(arg)
+	} else {
+		fn()
+	}
 }
 
 // SetIdleFunc installs fn (nil removes it), invoked by Run every time
@@ -296,11 +249,12 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.fired
 	e.stopped = false
 	for !e.stopped {
-		ev := e.queue.pop()
+		id, ev := e.queue.next(e.now, deadline)
 		if ev == nil {
-			// True drain: give the idle func its quiescent point; if it
-			// refills the queue, keep going (Run behaves identically).
-			if e.idle != nil {
+			// Nothing due by the deadline. On a true drain give the idle
+			// func its quiescent point; if it refills the queue, keep
+			// going (Run behaves identically).
+			if e.Pending() == 0 && e.idle != nil {
 				e.idle()
 				if e.Pending() > 0 {
 					continue
@@ -308,11 +262,7 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 			}
 			break
 		}
-		if ev.at > deadline {
-			e.queue.push(ev) // not due: put it back (seq preserved)
-			break
-		}
-		e.fireEvent(ev)
+		e.fireEvent(id, ev)
 	}
 	if e.now < deadline && !e.stopped {
 		e.now = deadline

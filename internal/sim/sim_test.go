@@ -17,10 +17,11 @@ func TestEngineStartsAtZero(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the pooled event record at one 64-byte cache line.
+// TestEventSize pins the pooled event record at 48 bytes: no sequence
+// number (the wheel's slot order replaces it) and a 32-bit id link.
 func TestEventSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Event{}); sz != 64 {
-		t.Fatalf("sizeof(Event) = %d, want 64", sz)
+	if sz := unsafe.Sizeof(Event{}); sz != 48 {
+		t.Fatalf("sizeof(Event) = %d, want 48", sz)
 	}
 }
 
