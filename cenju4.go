@@ -268,6 +268,10 @@ func RunNPB(app, variant string, opts WorkloadOptions) (WorkloadResult, error) {
 	if v == npb.Seq {
 		opts.Nodes = 1
 	}
+	cfg := machine.Config{Nodes: opts.Nodes, Multicast: true}
+	if err := cfg.Validate(); err != nil {
+		return WorkloadResult{}, err
+	}
 	mapped := true
 	if opts.DataMapping != nil {
 		mapped = *opts.DataMapping
@@ -295,7 +299,8 @@ func RunNPB(app, variant string, opts WorkloadOptions) (WorkloadResult, error) {
 			return WorkloadResult{}, err
 		}
 	}
-	m := machine.New(machine.Config{Nodes: opts.Nodes, Multicast: true, UpdateMode: w.UpdateMode, Fault: fault})
+	cfg.UpdateMode, cfg.Fault = w.UpdateMode, fault
+	m := machine.New(cfg)
 	if opts.Trace != nil {
 		m.SetTracer(opts.Trace.Tracer())
 	}

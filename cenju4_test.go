@@ -1,8 +1,11 @@
 package cenju4
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"cenju4/internal/machine"
 )
 
 func TestMachineLoadStoreLifecycle(t *testing.T) {
@@ -102,6 +105,10 @@ func TestRunNPBErrors(t *testing.T) {
 	}
 	if _, err := RunNPB("bt", "openmp", WorkloadOptions{}); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+	var bad *machine.InvalidNodeCountError
+	if _, err := RunNPB("bt", "dsm2", WorkloadOptions{Nodes: 3}); !errors.As(err, &bad) {
+		t.Fatalf("3 nodes: got %v, want an InvalidNodeCountError", err)
 	}
 }
 

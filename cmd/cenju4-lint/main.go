@@ -25,7 +25,7 @@
 //	                  time, never the wall clock, through any helper
 //	hotalloc        * no per-event heap allocation reachable from
 //	                  //cenju4:hotpath roots
-//	pdessafety      * runner.Map workers don't write captured or
+//	workersafety      * runner.Map workers don't write captured or
 //	                  package-level state, through any helper
 //
 // With -json, findings are emitted as a JSON array of
@@ -48,8 +48,8 @@ import (
 	"cenju4/internal/analysis/passes/enumnames"
 	"cenju4/internal/analysis/passes/exhaustiveswitch"
 	"cenju4/internal/analysis/passes/hotalloc"
-	"cenju4/internal/analysis/passes/pdessafety"
 	"cenju4/internal/analysis/passes/simtime"
+	"cenju4/internal/analysis/passes/workersafety"
 )
 
 // All is the cenju4-lint suite in reporting order.
@@ -59,7 +59,7 @@ var All = []*analysis.Analyzer{
 	enumnames.Analyzer,
 	simtime.Analyzer,
 	hotalloc.Analyzer,
-	pdessafety.Analyzer,
+	workersafety.Analyzer,
 }
 
 func main() {

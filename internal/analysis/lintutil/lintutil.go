@@ -175,7 +175,7 @@ var WallClock = map[string]bool{
 }
 
 // PackageLevelVar reports whether obj is a package-level variable —
-// the shared mutable state the pdessafety analyzer bans worker
+// the shared mutable state the workersafety analyzer bans worker
 // closures from reaching.
 func PackageLevelVar(obj types.Object) bool {
 	v, ok := obj.(*types.Var)

@@ -31,7 +31,7 @@
 // package's own exit-boundary call).
 //
 // The worker-closure rule that historically lived here (no captured
-// writes in runner.Map closures) moved to the pdessafety analyzer,
+// writes in runner.Map closures) moved to the workersafety analyzer,
 // which generalizes it interprocedurally.
 package determinism
 

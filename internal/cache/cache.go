@@ -239,16 +239,12 @@ func (c *Cache) Access(addr topology.Addr, store bool) (LineState, bool) {
 	}
 }
 
-// Rehit counts a processor hit that the caller resolved without a
-// lookup: a repeat load, or a repeat store to a Modified line, of a
-// block it knows is still at the front of its set. Access would have
-// changed nothing but this counter.
+// Rehits counts n processor hits that the caller charged without a
+// lookup: loads, and stores to a Modified line, of a resident block
+// whose set order the caller keeps as Access would have left it.
 //
 //cenju4:hotpath
-func (c *Cache) Rehit() { c.stats.Hits++ }
-
-// SameSet reports whether a and b map to the same cache set.
-func (c *Cache) SameSet(a, b topology.Addr) bool { return c.setIndex(a) == c.setIndex(b) }
+func (c *Cache) Rehits(n uint64) { c.stats.Hits += n }
 
 // SetState changes the coherence state of a resident block (used by the
 // protocol modules: invalidations, downgrades, upgrade completions). It

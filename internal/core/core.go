@@ -277,6 +277,9 @@ func (c *Controller) Node() topology.NodeID { return c.cfg.Node }
 // tracker. All controllers of one machine share a single tracker.
 func (c *Controller) SetValueTracker(v *ValueTracker) { c.vals = v }
 
+// TracksValues reports whether a value tracker is attached.
+func (c *Controller) TracksValues() bool { return c.vals != nil }
+
 // NoteAccessHit informs the value tracker of a processor cache hit on
 // a shared block (the cpu model calls it on every such hit; the cache
 // array has already applied any silent E->M upgrade). It is a no-op

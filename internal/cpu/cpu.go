@@ -8,6 +8,12 @@
 // when its accumulated quantum expires (so concurrent processors
 // interleave fairly). This keeps application-scale simulations tractable
 // while every coherence transaction remains fully event-driven.
+//
+// Streaming workloads hand the processor one OpRun per cache block (the
+// paper's unit of coherence) instead of one op per 8-byte element. The
+// processor looks a run's blocks up once per step and charges the rest
+// of the run's accesses as hits in bulk, stopping and resuming at the
+// exact element-wise point when a miss blocks or the quantum expires.
 package cpu
 
 import (
@@ -15,6 +21,7 @@ import (
 
 	"cenju4/internal/cache"
 	"cenju4/internal/core"
+	"cenju4/internal/shmem"
 	"cenju4/internal/sim"
 	"cenju4/internal/timing"
 	"cenju4/internal/topology"
@@ -39,20 +46,49 @@ const (
 	OpRecv
 	// OpAllReduce performs a global reduction of N bytes.
 	OpAllReduce
+	// OpRun is the loop body of a stream over Count consecutive
+	// shmem.ElemSize elements from Addr, all in one cache block. Per
+	// element k it issues, in order: a load of Pair+k*ElemSize
+	// (RunWrapPaired only); a load of Addr+k*ElemSize; N compute
+	// instructions, none when N is 0 and, in the RunWrap bodies, none on
+	// an element that stores; and a store to Addr+k*ElemSize when the
+	// element is a store element. Every StoreEvery-th element stores
+	// (0: none); StorePhase elements have passed since the last store
+	// when the run starts.
+	OpRun
+)
+
+// RunBody selects an OpRun's loop body.
+type RunBody uint8
+
+const (
+	// RunStream: load, compute, then the store when due.
+	RunStream RunBody = iota
+	// RunWrap: load, then the store when due or else compute.
+	RunWrap
+	// RunWrapPaired: RunWrap after a load of the paired element.
+	RunWrapPaired
 )
 
 // Op is one program operation. The fields run widest first so an Op
-// packs into 24 bytes.
+// packs into 32 bytes; Pair and the last four fields serve OpRun only
+// (8 bytes more than the other kinds need, so a whole block of a
+// stream fits in one op).
 type Op struct {
-	Addr topology.Addr
-	N    uint64
-	Dst  topology.NodeID
-	Kind OpKind
+	Addr       topology.Addr
+	N          uint64
+	Pair       topology.Addr
+	Dst        topology.NodeID
+	Kind       OpKind
+	Body       RunBody
+	Count      uint8
+	StoreEvery uint8
+	StorePhase uint8
 }
 
-// MinFill is the smallest buffer a processor passes to Program.Fill:
-// room for one whole loop body of the npb generators (at most three
-// ops), so a generator never has to split one.
+// MinFill is the smallest buffer a processor passes to Program.Fill,
+// so a generator can always write a short loop body whole (an npb
+// stream body is one OpRun).
 const MinFill = 4
 
 // Program supplies a node's operation stream in batches. Fill writes
@@ -143,6 +179,9 @@ type CPU struct {
 	ops   [opBufLen]Op
 	opPos int
 	opLen int
+	// The run cursor: while ops[opPos] is an OpRun, the element it
+	// resumes at and the place in that element's body (a run* const).
+	runElem, runPos uint8
 
 	// Blocking-op scratch for the static event callbacks below: at most
 	// one blocking miss / finish / quantum event is outstanding per CPU
@@ -154,9 +193,9 @@ type CPU struct {
 	resumeFn  func() // allocated once: the controller's done callback
 }
 
-// opBufLen is the op-buffer size: two cache blocks of a streaming
+// opBufLen is the op-buffer size: 16 cache blocks of a streaming
 // phase per Fill call.
-const opBufLen = 32
+const opBufLen = 16
 
 // Config parameterizes a CPU.
 type Config struct {
@@ -173,15 +212,6 @@ type Config struct {
 
 // New builds a CPU bound to a controller and sync provider.
 func New(eng *sim.Engine, ctrl *core.Controller, sync Sync, cfg Config) *CPU {
-	if cfg.NsPerInstr == 0 {
-		cfg.NsPerInstr = 5
-	}
-	if cfg.Quantum == 0 {
-		cfg.Quantum = 20000
-	}
-	if cfg.Params == (timing.Params{}) {
-		cfg.Params = timing.Default()
-	}
 	c := &CPU{}
 	c.Init(eng, ctrl, sync, cfg)
 	return c
@@ -217,22 +247,20 @@ func (c *CPU) Run(prog Program, done func()) {
 	c.prog = prog
 	c.done = done
 	c.opPos, c.opLen = 0, 0
+	c.runElem, c.runPos = 0, 0
 	c.eng.After(0, c.resumeFn)
 }
 
 // step consumes operations until the processor must block or its
 // quantum expires (checked after compute and send ops only).
 //
-// No event runs inside one step call, so a block this step has just
-// accessed is still at the front of its cache set, in the state the
-// access left it. memo remembers the last two such blocks: a load to
-// either, or a store to one that is Modified, is a hit that changes
-// nothing in the cache, so it skips the lookup. The memo dies with the
-// call.
+// An OpRun goes through run, which looks its blocks up once and charges
+// the later accesses as hits. That knowledge lasts one step call: no
+// event runs inside a step, so only the run itself touches the cache
+// meanwhile, but between steps other nodes' transactions may invalidate
+// or downgrade the blocks, so a resumed run looks them up again.
 func (c *CPU) step() {
 	var acc sim.Time
-	var memo hitMemo
-	ca := c.ctrl.Cache()
 	for {
 		if c.opPos == c.opLen {
 			c.opPos, c.opLen = 0, c.prog.Fill(c.ops[:])
@@ -242,7 +270,14 @@ func (c *CPU) step() {
 				return
 			}
 		}
-		op := c.ops[c.opPos]
+		op := &c.ops[c.opPos]
+		if op.Kind == OpRun {
+			var stop bool
+			if acc, stop = c.run(op, acc); stop {
+				return
+			}
+			continue
+		}
 		c.opPos++
 		switch op.Kind {
 		case OpCompute:
@@ -250,66 +285,22 @@ func (c *CPU) step() {
 			acc += sim.Time(op.N) * c.nsPerIn
 
 		case OpLoad, OpStore:
-			c.stats.Instructions++
-			c.stats.MemAccesses++
-			store := op.Kind == OpStore
-			shared := op.Addr.Shared()
-			local := shared && op.Addr.Home() == c.node
-			switch {
-			case !shared:
-				c.stats.PrivateAccesses++
-			case local:
-				c.stats.LocalAccesses++
-			default:
-				c.stats.RemoteAccesses++
+			var st cache.LineState
+			if st, _, acc = c.access(op.Addr, op.Kind == OpStore, acc); st == cache.Invalid {
+				return
 			}
-			block := op.Addr.Block()
-			if memo.hit(block, store) {
-				ca.Rehit()
-				if shared {
-					c.ctrl.NoteAccessHit(op.Addr, store)
-				}
-				acc += c.params.CacheHit
-				continue
-			}
-			if !shared {
-				st, hit := c.privateAccess(op.Addr, store)
-				if hit {
-					acc += c.params.CacheHit
-				} else {
-					c.stats.Misses++
-					c.stats.PrivateMisses++
-					acc += c.params.ProcOverhead + c.params.MemAccess
-				}
-				memo.remember(ca, block, st, store)
-				continue
-			}
-			if st, hit := ca.Access(op.Addr, store); hit {
-				c.ctrl.NoteAccessHit(op.Addr, store)
-				acc += c.params.CacheHit
-				memo.remember(ca, block, st, store)
-				continue
-			}
-			c.stats.Misses++
-			if local {
-				c.stats.LocalMisses++
-			} else {
-				c.stats.RemoteMisses++
-			}
-			// Block on the coherence transaction.
-			c.stats.BusyTime += acc
-			c.pendAddr, c.pendStore = op.Addr, store
-			c.eng.AtCall(c.eng.Now()+acc, cpuMiss, c)
-			return
+			continue
 
 		case OpBarrier:
 			c.blockOnSync(acc, func(done func()) { c.sync.Barrier(c.node, done) })
 			return
 		case OpRecv:
-			c.blockOnSync(acc, func(done func()) { c.sync.Recv(c.node, op.Dst, done) })
+			src := op.Dst
+			c.blockOnSync(acc, func(done func()) { c.sync.Recv(c.node, src, done) })
 			return
 		case OpAllReduce:
-			c.blockOnSync(acc, func(done func()) { c.sync.AllReduce(c.node, op.N, done) })
+			n := op.N
+			c.blockOnSync(acc, func(done func()) { c.sync.AllReduce(c.node, n, done) })
 			return
 		case OpSend:
 			c.stats.Instructions++
@@ -323,50 +314,176 @@ func (c *CPU) step() {
 			panic(fmt.Sprintf("cpu: unknown op kind %d", op.Kind))
 		}
 		if acc >= c.quantum {
-			c.stats.BusyTime += acc
-			c.eng.AtCall(c.eng.Now()+acc, cpuResume, c)
+			c.yield(acc)
 			return
 		}
 	}
 }
 
-// hitMemo holds up to two blocks with the state each was left in, most
-// recent first; an Invalid entry is empty. The two are never in the
-// same cache set, so an access that moves a block to the front of a set
-// replaces at most the entry for that set.
-type hitMemo [2]struct {
-	block topology.Addr
-	st    cache.LineState
+// yield ends a step whose quantum has expired.
+func (c *CPU) yield(acc sim.Time) {
+	c.stats.BusyTime += acc
+	c.eng.AtCall(c.eng.Now()+acc, cpuResume, c)
 }
 
-// hit reports whether an access to block is a memoized no-change hit,
-// and makes a matching second entry the most recent.
-//
-//cenju4:hotpath
-func (m *hitMemo) hit(block topology.Addr, store bool) bool {
-	for i, e := range m {
-		if e.block != block || e.st == cache.Invalid || store && e.st != cache.Modified {
-			continue
+// access performs one load or store through the cache and charges its
+// cost to acc. It returns the state the access left the block in,
+// whether it hit, and acc; Invalid means the processor blocked on a
+// coherence transaction and step must return.
+func (c *CPU) access(addr topology.Addr, store bool, acc sim.Time) (cache.LineState, bool, sim.Time) {
+	c.stats.Instructions++
+	c.stats.MemAccesses++
+	*c.class(addr)++
+	var st cache.LineState
+	var hit bool
+	switch {
+	case !addr.Shared():
+		if st, hit = c.privateAccess(addr, store); hit {
+			acc += c.params.CacheHit
+		} else {
+			c.stats.Misses++
+			c.stats.PrivateMisses++
+			acc += c.params.ProcOverhead + c.params.MemAccess
 		}
-		if i == 1 {
-			m[0], m[1] = m[1], m[0]
+	default:
+		if st, hit = c.ctrl.Cache().Access(addr, store); !hit {
+			c.stats.Misses++
+			if addr.Home() == c.node {
+				c.stats.LocalMisses++
+			} else {
+				c.stats.RemoteMisses++
+			}
+			// Block on the coherence transaction.
+			c.stats.BusyTime += acc
+			c.pendAddr, c.pendStore = addr, store
+			c.eng.AtCall(c.eng.Now()+acc, cpuMiss, c)
+			return cache.Invalid, false, acc
 		}
-		return true
+		c.ctrl.NoteAccessHit(addr, store)
+		acc += c.params.CacheHit
 	}
-	return false
-}
-
-// remember records that an access has just left block at the front of
-// its set, in state st or, after a store, Modified. It drops the entry
-// for the same set or else the older entry.
-func (m *hitMemo) remember(ca *cache.Cache, block topology.Addr, st cache.LineState, store bool) {
 	if store {
 		st = cache.Modified
 	}
-	if m[0].st != cache.Invalid && !ca.SameSet(m[0].block, block) {
-		m[1] = m[0]
+	return st, hit, acc
+}
+
+// class returns the access counter for addr's memory class.
+func (c *CPU) class(addr topology.Addr) *uint64 {
+	switch {
+	case !addr.Shared():
+		return &c.stats.PrivateAccesses
+	case addr.Home() == c.node:
+		return &c.stats.LocalAccesses
 	}
-	m[0].block, m[0].st = block, st
+	return &c.stats.RemoteAccesses
+}
+
+// Places in an OpRun element's body, in issue order (CPU.runPos).
+const (
+	runPair uint8 = iota
+	runLoad
+	runCompute
+	runStore
+)
+
+// run executes the OpRun op = &ops[opPos] from the run cursor on. It
+// returns acc and whether step must return: the processor blocked on a
+// miss (the cursor then points past the missed access) or its quantum
+// expired. A finished run advances opPos.
+//
+// Each block's first access in the call, and a store while the call
+// does not know the block Modified, take the normal path (access).
+// Every other access is a hit that changes nothing but counters, which
+// run adds in bulk. Two rules keep skipping exact when the pair and
+// main blocks share a set: a normal access to the pair forgets the
+// main block, so the main load that follows puts it back in front as
+// element-wise execution would; and a miss forgets the other block,
+// which the insert may have evicted from a one-way set.
+//
+//cenju4:hotpath
+func (c *CPU) run(op *Op, acc sim.Time) (sim.Time, bool) {
+	if c.ctrl.TracksValues() {
+		panic("cpu: OpRun with a value tracker attached (runs skip NoteAccessHit; value-tracked programs must use element ops)")
+	}
+	k, pos := int(c.runElem), c.runPos
+	wrap, paired := op.Body != RunStream, op.Body == RunWrapPaired
+	every, since := int(op.StoreEvery), 0
+	if every > 0 {
+		since = (int(op.StorePhase) + k) % every
+	}
+	hitCost, compute := c.params.CacheHit, sim.Time(op.N)*c.nsPerIn
+	var mainSt, pairSt cache.LineState // what the call knows; Invalid: look up
+	var mainHits, pairHits, instr uint64
+	var hit, stop bool
+elems:
+	for ; k < int(op.Count); k, pos = k+1, runPair {
+		store := false
+		if every > 0 {
+			if since++; since == every {
+				since, store = 0, true
+			}
+		}
+		off := topology.Addr(k * shmem.ElemSize)
+		switch pos {
+		case runPair:
+			if !paired {
+				// no pair access
+			} else if pairSt != cache.Invalid {
+				pairHits++
+				acc += hitCost
+			} else {
+				pairSt, _, acc = c.access(op.Pair+off, false, acc) // private: never blocks
+				mainSt = cache.Invalid
+			}
+			fallthrough
+		case runLoad:
+			if mainSt != cache.Invalid {
+				mainHits++
+				acc += hitCost
+			} else if mainSt, hit, acc = c.access(op.Addr+off, false, acc); mainSt == cache.Invalid {
+				pos, stop = runCompute, true
+				break elems
+			} else if !hit {
+				pairSt = cache.Invalid
+			}
+			fallthrough
+		case runCompute:
+			if op.N > 0 && !(wrap && store) {
+				instr += op.N
+				if acc += compute; acc >= c.quantum {
+					c.yield(acc)
+					pos, stop = runStore, true
+					break elems
+				}
+			}
+			fallthrough
+		case runStore:
+			if !store {
+				// no store on this element
+			} else if mainSt == cache.Modified {
+				mainHits++
+				acc += hitCost
+			} else if mainSt, hit, acc = c.access(op.Addr+off, true, acc); mainSt == cache.Invalid {
+				k, pos, stop = k+1, runPair, true
+				break elems
+			} else if !hit {
+				pairSt = cache.Invalid
+			}
+		}
+	}
+	c.stats.Instructions += mainHits + pairHits + instr
+	c.stats.MemAccesses += mainHits + pairHits
+	c.stats.PrivateAccesses += pairHits
+	*c.class(op.Addr) += mainHits
+	c.ctrl.Cache().Rehits(mainHits + pairHits)
+	if stop {
+		c.runElem, c.runPos = uint8(k), pos
+	} else {
+		c.opPos++
+		c.runElem, c.runPos = 0, runPair
+	}
+	return acc, stop
 }
 
 // blockOnSync charges accumulated busy time, then enters a sync wait

@@ -171,8 +171,8 @@ func TestFuncProgram(t *testing.T) {
 }
 
 func TestOpSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Op{}); sz != 24 {
-		t.Fatalf("sizeof(Op) = %d, want 24", sz)
+	if sz := unsafe.Sizeof(Op{}); sz != 32 {
+		t.Fatalf("sizeof(Op) = %d, want 32", sz)
 	}
 }
 

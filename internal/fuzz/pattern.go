@@ -136,7 +136,12 @@ func Generate(p Pattern, seed uint64, nodes, ops int) [][]cpu.Op {
 	if perNode < 1 {
 		perNode = 1
 	}
+	// Every pattern emits about perNode accesses per node plus ~10%
+	// jitter; sizing the streams up front saves append's regrowth copies.
 	streams := make([][]cpu.Op, nodes)
+	for n := range streams {
+		streams[n] = make([]cpu.Op, 0, perNode+perNode/8+1)
+	}
 	switch p {
 	case PatternUniform:
 		pool := blockPool(nodes, 64)
@@ -302,6 +307,8 @@ func CountOps(ops [][]cpu.Op) (loads, stores int) {
 				stores++
 			case cpu.OpCompute, cpu.OpBarrier, cpu.OpSend, cpu.OpRecv, cpu.OpAllReduce:
 				// No coherence traffic to tally.
+			case cpu.OpRun:
+				panic("fuzz: OpRun in a fuzz stream (value-tracked programs use element ops)")
 			}
 		}
 	}
@@ -325,9 +332,9 @@ func FormatOps(ops [][]cpu.Op) string {
 				fmt.Fprintf(&b, " St %v", op.Addr)
 			case cpu.OpCompute:
 				fmt.Fprintf(&b, " C%d", op.N)
-			case cpu.OpBarrier, cpu.OpSend, cpu.OpRecv, cpu.OpAllReduce:
-				// Message-passing ops never appear in coherence fuzz
-				// streams; render them generically if they ever do.
+			case cpu.OpBarrier, cpu.OpSend, cpu.OpRecv, cpu.OpAllReduce, cpu.OpRun:
+				// Message-passing ops and runs never appear in coherence
+				// fuzz streams; render them generically if they ever do.
 				fmt.Fprintf(&b, " op%d", op.Kind)
 			}
 		}

@@ -75,6 +75,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// InvalidNodeCountError reports a machine size that is not a power of
+// two from 1 to topology.MaxNodes.
+type InvalidNodeCountError struct{ Nodes int }
+
+func (e *InvalidNodeCountError) Error() string {
+	return fmt.Sprintf("machine: invalid node count %d (want a power of two from 1 to %d)", e.Nodes, topology.MaxNodes)
+}
+
+// Validate reports a node count New would panic on as an
+// InvalidNodeCountError, so a boundary that takes the size from a user
+// can refuse it with an error. Other invalid fields still panic in New.
+func (c Config) Validate() error {
+	if !topology.ValidNodeCount(c.Nodes) {
+		return &InvalidNodeCountError{Nodes: c.Nodes}
+	}
+	return nil
+}
+
 // Machine is one assembled system.
 type Machine struct {
 	cfg       Config
@@ -89,8 +107,8 @@ type Machine struct {
 // New builds a machine.
 func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
-	if !topology.ValidNodeCount(cfg.Nodes) {
-		panic(fmt.Sprintf("machine: invalid node count %d", cfg.Nodes))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	m := &Machine{cfg: cfg, eng: sim.NewEngine()}
 	fs := cfg.Fault.Normalize()

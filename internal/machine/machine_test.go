@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 
 	"cenju4/internal/cpu"
@@ -18,6 +19,24 @@ func emptyProgs(n int) []cpu.Program {
 		ps[i] = progOf()
 	}
 	return ps
+}
+
+func TestConfigValidateNodeCount(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		ok    bool
+	}{{2, true}, {3, false}, {5, false}, {2048, false}} {
+		err := Config{Nodes: tc.nodes}.Validate()
+		var bad *InvalidNodeCountError
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%d nodes: %v", tc.nodes, err)
+		case !tc.ok && !errors.As(err, &bad):
+			t.Errorf("%d nodes: got %v, want an InvalidNodeCountError", tc.nodes, err)
+		case !tc.ok && bad.Nodes != tc.nodes:
+			t.Errorf("%d nodes: error names %d", tc.nodes, bad.Nodes)
+		}
+	}
 }
 
 func TestEmptyProgramsFinish(t *testing.T) {

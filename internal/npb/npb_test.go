@@ -196,28 +196,45 @@ func BenchmarkBuildAndRunBT(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessorStream times the processor front end on its own:
-// one node runs FT dsm(2)'s private passes (rotStream over the 4 MB
-// private buffer, 40 instructions per element and a store every other
-// element), so every access is a cache hit or a private miss and no
-// coherence transaction runs. It reports host time per simulated
-// memory access.
+// BenchmarkProcessorStream times the processor front end on one node,
+// in two forms, and reports host time per simulated memory access:
+//   - rot: FT dsm(2)'s private passes (rotStream over the 4 MB private
+//     buffer, 40 instructions per element and a store every other
+//     element), so every access is a cache hit or a private miss and no
+//     coherence transaction runs;
+//   - paired: CG's mat-vec (pairedStream: the private a[j] plus a shared
+//     vector homed at the node, 4 instructions per element), whose
+//     shared misses run local coherence transactions.
 func BenchmarkProcessorStream(b *testing.B) {
 	const passes, elems = 4, 64 * 1024
-	y := shmem.NewAllocator(1).Private("y", privBufElems)
-	var accesses uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := machine.New(machine.Config{Nodes: 1})
-		prog := &program{iters: 1, build: func(int) []phase {
+	alloc := shmem.NewAllocator(1)
+	y := alloc.Private("y", privBufElems)
+	vec := alloc.Shared("p", 16*1024, shmem.MapNone)
+	a := alloc.Private("a", elems)
+	forms := []struct {
+		name   string
+		phases func() []phase
+	}{
+		{"rot", func() []phase {
 			ph := make([]phase, passes)
 			for s := range ph {
 				ph[s] = rotStream(y, s, elems, 40, 2)
 			}
 			return ph
-		}}
-		b.StartTimer()
-		accesses += m.Run([]cpu.Program{prog}).PerNode[0].MemAccesses
+		}},
+		{"paired", func() []phase { return []phase{pairedStream(vec, 0, passes*elems, a, 4)} }},
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+	for _, f := range forms {
+		b.Run(f.name, func(b *testing.B) {
+			var accesses uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := machine.New(machine.Config{Nodes: 1})
+				prog := &program{iters: 1, build: func(int) []phase { return f.phases() }}
+				b.StartTimer()
+				accesses += m.Run([]cpu.Program{prog}).PerNode[0].MemAccesses
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+		})
+	}
 }

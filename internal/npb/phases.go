@@ -8,9 +8,9 @@ import (
 
 // phase is a restartable generator of operations. Programs are built as
 // sequences of phases repeated over iterations, so multi-million-access
-// workloads never materialize op slices. fill writes whole loop bodies
-// into buf while at least cpu.MinFill slots are free and returns how
-// many ops it wrote; 0 means the phase is finished.
+// workloads never materialize op slices. fill writes ops into buf
+// (len(buf) >= cpu.MinFill) and returns how many it wrote; 0 means the
+// phase is finished.
 type phase interface {
 	fill(buf []cpu.Op) int
 }
@@ -45,8 +45,8 @@ type region interface {
 	Span(i int) (topology.Addr, int)
 }
 
-// cursor walks a region element by element, asking it for an address
-// once per contiguous run (one cache block) instead of once per element.
+// cursor walks a region one contiguous run (one cache block) at a time,
+// asking it for an address once per run instead of once per element.
 type cursor struct {
 	r    region
 	i    int           // current element
@@ -54,20 +54,20 @@ type cursor struct {
 	run  int           // elements left in the run, from i (0 = ask again)
 }
 
-// at returns the current element's address.
-func (c *cursor) at() topology.Addr {
+// span returns the current element's address and how many elements,
+// at most max, follow it in its run.
+func (c *cursor) span(max int) (topology.Addr, int) {
 	if c.run == 0 {
 		c.addr, c.run = c.r.Span(c.i)
 	}
-	return c.addr
+	return c.addr, min(c.run, max)
 }
 
-// advance moves to the next element; at must have been called for the
-// current one.
-func (c *cursor) advance() {
-	c.i++
-	c.run--
-	c.addr += shmem.ElemSize
+// advance moves k elements on within the current run.
+func (c *cursor) advance(k int) {
+	c.i += k
+	c.run -= k
+	c.addr += topology.Addr(k * shmem.ElemSize)
 }
 
 // wrap restarts the cursor at element 0 once it has passed element n-1.
@@ -77,40 +77,48 @@ func (c *cursor) wrap(n int) {
 	}
 }
 
-// streamPhase sweeps elements [lo,hi), emitting per element: a load,
-// `compute` instructions, and a store every storeEvery-th element
-// (0 = never). A sweep gets the block's natural 1-in-16 miss locality.
-type streamPhase struct {
-	cur        cursor
-	hi         int
+// body is the per-element loop body of a stream: a load, `compute`
+// instructions, and a store every storeEvery-th element (0 = never).
+// It emits one cpu.OpRun per block run (see cpu.OpRun for the order).
+type body struct {
+	kind       cpu.RunBody
 	compute    uint64
 	storeEvery int
 	sinceStore int // elements since the last store
 }
 
+// op returns the OpRun for k elements from addr and moves the store
+// phase past them.
+func (b *body) op(addr topology.Addr, k int) cpu.Op {
+	op := cpu.Op{Kind: cpu.OpRun, Addr: addr, N: b.compute, Body: b.kind,
+		Count: uint8(k), StoreEvery: uint8(b.storeEvery), StorePhase: uint8(b.sinceStore)}
+	if b.storeEvery > 0 {
+		b.sinceStore = (b.sinceStore + k) % b.storeEvery
+	}
+	return op
+}
+
+// streamPhase sweeps elements [lo,hi), per element a load, `compute`
+// instructions and a store every storeEvery-th element (cpu.RunStream).
+// A sweep gets the block's natural 1-in-16 miss locality.
+type streamPhase struct {
+	cur cursor
+	hi  int
+	body
+}
+
 func stream(r region, lo, hi int, compute uint64, storeEvery int) phase {
-	return &streamPhase{cur: cursor{r: r, i: lo}, hi: hi, compute: compute, storeEvery: storeEvery}
+	return &streamPhase{cur: cursor{r: r, i: lo}, hi: hi,
+		body: body{kind: cpu.RunStream, compute: compute, storeEvery: storeEvery}}
 }
 
 //cenju4:hotpath
 func (p *streamPhase) fill(buf []cpu.Op) int {
 	n := 0
-	for p.cur.i < p.hi && n+cpu.MinFill <= len(buf) {
-		addr := p.cur.at()
-		buf[n] = cpu.Op{Kind: cpu.OpLoad, Addr: addr}
-		n++
-		if p.compute > 0 {
-			buf[n] = cpu.Op{Kind: cpu.OpCompute, N: p.compute}
-			n++
-		}
-		if p.storeEvery > 0 {
-			if p.sinceStore++; p.sinceStore == p.storeEvery {
-				p.sinceStore = 0
-				buf[n] = cpu.Op{Kind: cpu.OpStore, Addr: addr}
-				n++
-			}
-		}
-		p.cur.advance()
+	for ; p.cur.i < p.hi && n < len(buf); n++ {
+		addr, k := p.cur.span(p.hi - p.cur.i)
+		buf[n] = p.op(addr, k)
+		p.cur.advance(k)
 	}
 	return n
 }
@@ -120,23 +128,22 @@ func (p *streamPhase) fill(buf []cpu.Op) int {
 // partitions and for CG's full-vector coverage. Per element it emits an
 // optional load of the next element of a second (private) region, a
 // load, and then a store every storeEvery-th element or else `compute`
-// instructions.
+// instructions (cpu.RunWrap, cpu.RunWrapPaired).
 type wrapStreamPhase struct {
-	cur        cursor
-	n          int // region length
-	count      int
-	compute    uint64
-	storeEvery int
-	pair       *cursor // optional second access per element
-	pairLen    int
+	cur     cursor
+	n       int // region length
+	count   int
+	pair    *cursor // optional second access per element
+	pairLen int
+	body
 
-	done       int // elements emitted
-	sinceStore int
+	done int // elements emitted
 }
 
 func wrapStream(r region, start, count int, compute uint64) *wrapStreamPhase {
 	n := r.Len()
-	return &wrapStreamPhase{cur: cursor{r: r, i: start % n}, n: n, count: count, compute: compute}
+	return &wrapStreamPhase{cur: cursor{r: r, i: start % n}, n: n, count: count,
+		body: body{kind: cpu.RunWrap, compute: compute}}
 }
 
 // rotStream sweeps `count` elements of a large private buffer starting
@@ -153,43 +160,33 @@ func rotStream(priv *shmem.PrivRegion, pass, count int, compute uint64, storeEve
 }
 
 // pairedStream is wrapStream plus one private access per element — the
-// CG inner loop: load A[j] (private), load p[col] (shared), compute.
+// CG inner loop: load A[j] (private), load p[col] (shared), compute. A
+// run ends where either cursor's block run ends.
 func pairedStream(r region, start, count int, priv *shmem.PrivRegion, compute uint64) phase {
 	p := wrapStream(r, start, count, compute)
 	p.pair = &cursor{r: priv}
 	p.pairLen = priv.Len()
+	p.kind = cpu.RunWrapPaired
 	return p
 }
 
 //cenju4:hotpath
 func (p *wrapStreamPhase) fill(buf []cpu.Op) int {
 	n := 0
-	for p.done < p.count && n+cpu.MinFill <= len(buf) {
+	for ; p.done < p.count && n < len(buf); n++ {
+		addr, k := p.cur.span(p.count - p.done)
 		if p.pair != nil {
-			buf[n] = cpu.Op{Kind: cpu.OpLoad, Addr: p.pair.at()}
-			n++
-			p.pair.advance()
+			var pa topology.Addr
+			pa, k = p.pair.span(k)
+			buf[n] = p.op(addr, k)
+			buf[n].Pair = pa
+			p.pair.advance(k)
 			p.pair.wrap(p.pairLen)
+		} else {
+			buf[n] = p.op(addr, k)
 		}
-		addr := p.cur.at()
-		buf[n] = cpu.Op{Kind: cpu.OpLoad, Addr: addr}
-		n++
-		store := false
-		if p.storeEvery > 0 {
-			if p.sinceStore++; p.sinceStore == p.storeEvery {
-				p.sinceStore = 0
-				store = true
-			}
-		}
-		if store {
-			buf[n] = cpu.Op{Kind: cpu.OpStore, Addr: addr}
-			n++
-		} else if p.compute > 0 {
-			buf[n] = cpu.Op{Kind: cpu.OpCompute, N: p.compute}
-			n++
-		}
-		p.done++
-		p.cur.advance()
+		p.done += k
+		p.cur.advance(k)
 		p.cur.wrap(p.n)
 	}
 	return n

@@ -113,7 +113,7 @@ type Pool struct {
 	queue    chan *Job
 	drained  chan struct{} // closed when the dispatcher exits
 
-	// Shared counters follow the pdessafety discipline for state
+	// Shared counters follow the workersafety discipline for state
 	// touched from runner.Map workers and concurrent submitters: every
 	// access is an atomic.Uint64 Add/Load, never a bare x++ (a
 	// read-modify-write the lint would flag as a racy counter).
