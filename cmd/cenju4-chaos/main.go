@@ -28,6 +28,7 @@ import (
 	"cenju4/internal/core"
 	"cenju4/internal/faults"
 	"cenju4/internal/fuzz"
+	"cenju4/internal/machine"
 	"cenju4/internal/topology"
 )
 
@@ -50,6 +51,9 @@ func main() {
 
 	if !topology.ValidNodeCount(*nodes) {
 		log.Fatalf("-nodes: %d is not a power of two <= %d", *nodes, topology.MaxNodes)
+	}
+	if err := (machine.Config{Nodes: *nodes, Stages: *stages}).Validate(); err != nil {
+		log.Fatalf("-stages: %v", err)
 	}
 	o := fuzz.ChaosOptions{
 		Fuzz: fuzz.Options{

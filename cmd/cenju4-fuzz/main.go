@@ -29,6 +29,7 @@ import (
 	"cenju4/internal/core"
 	"cenju4/internal/faults"
 	"cenju4/internal/fuzz"
+	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
 	"cenju4/internal/topology"
 	"cenju4/internal/trace"
@@ -108,8 +109,8 @@ func main() {
 		log.Fatalf("-nodes: %d is not a power of two <= %d", *nodes, topology.MaxNodes)
 	}
 	for _, c := range opts.Cells {
-		if c.Stages < 1 || 2*c.Stages > 32 || 1<<(2*c.Stages) < *nodes {
-			log.Fatalf("-stages: %d stages cannot address %d nodes", c.Stages, *nodes)
+		if err := (machine.Config{Nodes: *nodes, Stages: c.Stages}).Validate(); err != nil {
+			log.Fatalf("-stages: %v", err)
 		}
 	}
 

@@ -335,18 +335,21 @@ func (c *Cache) Flush() []topology.Addr {
 	return dirty
 }
 
-// Occupancy returns the number of valid lines (for tests).
-func (c *Cache) Occupancy() int {
-	n := 0
+// ForEachLine visits every valid line with its block address and state,
+// in storage order (by set, most recently used first).
+func (c *Cache) ForEachLine(fn func(block topology.Addr, st LineState)) {
 	for _, p := range c.pages {
-		if p == nil {
-			continue
-		}
 		for _, w := range p {
 			if w&lineStateMask != 0 {
-				n++
+				fn(topology.Addr(w&^lineStateMask), LineState(w&lineStateMask))
 			}
 		}
 	}
+}
+
+// Occupancy returns the number of valid lines (for tests).
+func (c *Cache) Occupancy() int {
+	n := 0
+	c.ForEachLine(func(topology.Addr, LineState) { n++ })
 	return n
 }

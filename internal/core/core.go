@@ -221,10 +221,10 @@ type Controller struct {
 	stats Stats
 	rec   RecoveryStats
 
-	// sendFree recycles sendEvent records (the argument objects of the
-	// static send callback), so routing a message schedules no closure
-	// and allocates nothing in steady state.
-	sendFree *sendEvent
+	// sendFn is the departure callback, bound once in Init: a send
+	// schedules it with the message itself as the event argument, so
+	// routing a message allocates nothing.
+	sendFn func(any)
 
 	// memberBuf is the home's scratch for decoding directory node maps
 	// (dirty-owner lookup, invalidation fan-out). Decodes are consumed
@@ -260,6 +260,7 @@ func (c *Controller) Init(eng *sim.Engine, fab Fabric, cfg Config) {
 		c.allNodes = directory.AllNodes(cfg.Nodes)
 	}
 	c.memberBuf = make([]topology.NodeID, 0, cfg.Nodes)
+	c.sendFn = func(x any) { c.depart(x.(*msg.Message)) }
 	c.master.init(c)
 	c.home.init(c)
 	c.slave.init(c)
@@ -381,28 +382,18 @@ func (c *Controller) newMsg(proto msg.Message) *msg.Message {
 	return c.cfg.Pool.New(proto)
 }
 
-// sendEvent is the pooled argument record of runSend: the per-send
-// state that the previous closure-based path captured on the heap for
-// every scheduled departure.
-type sendEvent struct {
-	c     *Controller
-	m     *msg.Message
-	local bool
-	next  *sendEvent // controller free list
-}
-
-// runSend is the static departure callback. The record is recycled
-// before the message moves so a nested send scheduled by the delivery
-// can reuse it immediately.
+// depart moves a message whose send delay has elapsed: destinations on
+// this node are delivered directly (module-to-module transfers inside
+// the controller chip do not use the network); everything else goes
+// through the fabric. Gatherable replies always use the network so
+// in-network combining stays uniform. The decision reads the message,
+// which nothing touches between send and departure. On the local path
+// the controller is the end of the message's life and releases it; on
+// the fabric path the network owns the message from Send on.
 //
 //cenju4:hotpath
-func runSend(a any) {
-	se := a.(*sendEvent)
-	c, m, local := se.c, se.m, se.local
-	se.m = nil
-	se.next = c.sendFree
-	c.sendFree = se
-	if local {
+func (c *Controller) depart(m *msg.Message) {
+	if m.Dest.SingleTo(c.cfg.Node) && m.Gather == nil {
 		c.emit(TraceLocal, m)
 		c.Deliver(m)
 		c.cfg.Pool.Put(m)
@@ -412,27 +403,11 @@ func runSend(a any) {
 	}
 }
 
-// send routes a message: destinations on this node are delivered
-// directly (module-to-module transfers inside the controller chip do
-// not use the network); everything else goes through the fabric.
-// Gatherable replies always use the network so in-network combining
-// stays uniform. On the local path the controller is the end of the
-// message's life and releases it; on the fabric path the network owns
-// the message from Send on.
+// send schedules m's departure delay from now.
 //
 //cenju4:hotpath
 func (c *Controller) send(m *msg.Message, delay sim.Time) {
-	se := c.sendFree
-	if se == nil {
-		//cenju4:alloc-ok pool seeding: records recycle at departure, so the pool settles at the in-flight peak
-		se = &sendEvent{}
-	} else {
-		c.sendFree = se.next
-	}
-	se.c = c
-	se.m = m
-	se.local = m.Dest.SingleTo(c.cfg.Node) && m.Gather == nil
-	c.eng.AtCall(c.eng.Now()+delay, runSend, se)
+	c.eng.AtCall(c.eng.Now()+delay, c.sendFn, m)
 }
 
 // isLocal reports whether a message came from this node's own modules

@@ -99,3 +99,46 @@ func TestAnyMatchRoutingUseCases(t *testing.T) {
 		t.Error("matched nonexistent branch")
 	}
 }
+
+// PortMask answers exactly the four per-port AnyMatch queries it
+// replaces, for both formats, digits anywhere in (and past) the node
+// number, and constraints that cannot be met.
+func TestPortMaskEqualsFourAnyMatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 4000; trial++ {
+		var d Dest
+		switch trial % 4 {
+		case 0:
+			ptrs := make([]topology.NodeID, 1+rng.Intn(MaxPointers))
+			for i := range ptrs {
+				ptrs[i] = topology.NodeID(rng.Intn(1024))
+			}
+			d = PointerDest(ptrs...)
+		case 1, 2:
+			var bp BitPattern
+			for k := 1 + rng.Intn(90); k > 0; k-- {
+				bp.Add(topology.NodeID(rng.Intn(1 << (3 + rng.Intn(8)))))
+			}
+			d = Dest{Pattern: bp, IsPattern: true}
+		default:
+			d = Dest{Pattern: 1<<BitPatternBits - 1, IsPattern: true}
+		}
+		shift := rng.Intn(13)
+		digit := uint32(3) << shift
+		mask := uint32(rng.Intn(1<<12)) &^ digit
+		value := uint32(rng.Intn(1<<12)) & mask
+		if rng.Intn(10) == 0 {
+			value = uint32(rng.Intn(1<<12)) &^ digit // may leave the mask
+		}
+		var want uint8
+		for q := uint32(0); q < 4; q++ {
+			if d.AnyMatch(mask|digit, value|q<<shift) {
+				want |= 1 << q
+			}
+		}
+		if got := d.PortMask(mask, value, shift); got != want {
+			t.Fatalf("PortMask(%#x, %#x, %d) on %+v = %04b, four AnyMatch calls give %04b",
+				mask, value, shift, d, got, want)
+		}
+	}
+}

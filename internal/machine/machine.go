@@ -83,12 +83,26 @@ func (e *InvalidNodeCountError) Error() string {
 	return fmt.Sprintf("machine: invalid node count %d (want a power of two from 1 to %d)", e.Nodes, topology.MaxNodes)
 }
 
-// Validate reports a node count New would panic on as an
-// InvalidNodeCountError, so a boundary that takes the size from a user
-// can refuse it with an error. Other invalid fields still panic in New.
+// InvalidStageCountError reports a network stage count the machine's
+// network cannot be built with: 0 selects the paper's count, anything
+// else must be from 1 to 16 stages that address every node
+// (4^Stages >= Nodes).
+type InvalidStageCountError struct{ Stages, Nodes int }
+
+func (e *InvalidStageCountError) Error() string {
+	return fmt.Sprintf("machine: %d network stages cannot address %d nodes (want 0 for the default, or 1 to 16 with 4^stages >= nodes)", e.Stages, e.Nodes)
+}
+
+// Validate reports a node count or stage count New would panic on as
+// an InvalidNodeCountError or InvalidStageCountError, so a boundary
+// that takes them from a user can refuse them with an error. Other
+// invalid fields still panic in New.
 func (c Config) Validate() error {
 	if !topology.ValidNodeCount(c.Nodes) {
 		return &InvalidNodeCountError{Nodes: c.Nodes}
+	}
+	if s := c.Stages; s != 0 && (s < 1 || 2*s > 32 || 1<<(2*s) < c.Nodes) {
+		return &InvalidStageCountError{Stages: s, Nodes: c.Nodes}
 	}
 	return nil
 }

@@ -39,6 +39,41 @@ func TestConfigValidateNodeCount(t *testing.T) {
 	}
 }
 
+// Stage counts New would panic on are refused by Validate: exactly the
+// network's own conditions, with 0 meaning the paper's count.
+func TestConfigValidateStageCount(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, stages int
+		ok            bool
+	}{
+		{8, 0, true}, {1024, 0, true},
+		{4, 1, true}, {8, 1, false}, {16, 2, true}, {64, 2, false},
+		{64, 3, true}, {1024, 5, true}, {1024, 4, false},
+		{8, 16, true}, {8, 17, false}, {8, -1, false},
+	} {
+		err := Config{Nodes: tc.nodes, Stages: tc.stages}.Validate()
+		var bad *InvalidStageCountError
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%d nodes, %d stages: %v", tc.nodes, tc.stages, err)
+		case !tc.ok && !errors.As(err, &bad):
+			t.Errorf("%d nodes, %d stages: got %v, want an InvalidStageCountError", tc.nodes, tc.stages, err)
+		case !tc.ok && (bad.Stages != tc.stages || bad.Nodes != tc.nodes):
+			t.Errorf("%d nodes, %d stages: error names %+v", tc.nodes, tc.stages, *bad)
+		}
+		if tc.ok && tc.stages <= 6 {
+			// Must not panic. (A valid 16-stage network would be
+			// 16 x 4^15 switches: too large to build here.)
+			New(Config{Nodes: tc.nodes, Stages: tc.stages})
+		}
+	}
+	// A bad node count is reported first.
+	var badNodes *InvalidNodeCountError
+	if err := (Config{Nodes: 3, Stages: -1}).Validate(); !errors.As(err, &badNodes) {
+		t.Errorf("3 nodes, -1 stages: got %v, want an InvalidNodeCountError", err)
+	}
+}
+
 func TestEmptyProgramsFinish(t *testing.T) {
 	m := New(Config{Nodes: 4, Multicast: true})
 	r := m.Run(emptyProgs(4))

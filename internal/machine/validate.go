@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"cenju4/internal/cache"
 	"cenju4/internal/directory"
@@ -27,11 +28,18 @@ import (
 //  4. Quiescence: no pending states, no reservation bits, and empty
 //     request queues once the machine is idle.
 //
-// It returns the first violation found, or nil.
+// It returns the first violation found, or nil: homes in ascending
+// order, each home's blocks in ascending order, and within a block the
+// cached copies in ascending node order.
 func (m *Machine) Validate() error {
 	if m.eng.Pending() != 0 {
 		return fmt.Errorf("machine: validate called with %d events outstanding", m.eng.Pending())
 	}
+	// One pass over every cache instead of a probe of every cache per
+	// directory block: the cached copies, sorted by (block, node), are
+	// merge-joined with the directory walk, whose (home, block) order is
+	// ascending address order too.
+	copies := m.sharedCopies()
 	for home := 0; home < m.cfg.Nodes; home++ {
 		ctrl := m.ctrls[home]
 		if n := ctrl.PendingBlocks(); n != 0 {
@@ -46,7 +54,16 @@ func (m *Machine) Validate() error {
 				return
 			}
 			addr := topology.SharedAddr(topology.NodeID(home), idx*topology.BlockSize)
-			err = m.validateBlock(addr, e)
+			key := copyKey(addr, 0, cache.Invalid)
+			for len(copies) > 0 && copies[0] < key {
+				copies = copies[1:] // cached block without a directory entry
+			}
+			j := 0
+			for j < len(copies) && copies[j]>>copyBlockShift == key>>copyBlockShift {
+				j++
+			}
+			err = m.validateBlock(addr, e, copies[:j])
+			copies = copies[j:]
 		})
 		if err != nil {
 			return err
@@ -55,7 +72,33 @@ func (m *Machine) Validate() error {
 	return nil
 }
 
-func (m *Machine) validateBlock(addr topology.Addr, e *directory.Entry) error {
+// A cached copy of a shared block packs into one sortable word: the
+// block number above the node number above the 2-bit line state, so
+// ascending words are ascending (block, node).
+const copyBlockShift = topology.NodeBits + 2
+
+func copyKey(block topology.Addr, node topology.NodeID, st cache.LineState) uint64 {
+	return uint64(block)>>topology.BlockShift<<copyBlockShift | uint64(node)<<2 | uint64(st)
+}
+
+// sharedCopies returns every valid cached copy of a shared block on the
+// machine, sorted by (block, node).
+func (m *Machine) sharedCopies() []uint64 {
+	var copies []uint64
+	for n, ctrl := range m.ctrls {
+		ctrl.Cache().ForEachLine(func(block topology.Addr, st cache.LineState) {
+			if block.Shared() {
+				copies = append(copies, copyKey(block, topology.NodeID(n), st))
+			}
+		})
+	}
+	slices.Sort(copies)
+	return copies
+}
+
+// validateBlock checks one directory entry against the cached copies of
+// its block, given as sorted copy words.
+func (m *Machine) validateBlock(addr topology.Addr, e *directory.Entry, copies []uint64) error {
 	if e.State().Pending() {
 		return fmt.Errorf("block %v: state %v at idle", addr, e.State())
 	}
@@ -66,18 +109,19 @@ func (m *Machine) validateBlock(addr topology.Addr, e *directory.Entry) error {
 
 	owners, sharers := 0, 0
 	var owner topology.NodeID
-	for n := 0; n < m.cfg.Nodes; n++ {
-		switch m.ctrls[n].Cache().State(addr) {
+	for _, c := range copies {
+		n := topology.NodeID(c >> 2 & (1<<topology.NodeBits - 1))
+		switch cache.LineState(c & 3) {
 		case cache.Modified, cache.Exclusive:
 			owners++
-			owner = topology.NodeID(n)
+			owner = n
 		case cache.Shared:
 			sharers++
-			if !updateMode && !e.MapContains(topology.NodeID(n)) {
+			if !updateMode && !e.MapContains(n) {
 				return fmt.Errorf("block %v: node %d holds S but is absent from the node map %v", addr, n, *e)
 			}
 		case cache.Invalid:
-			// No copy at this node: nothing to cross-check.
+			// Not collected: only valid lines are copies.
 		}
 	}
 	if owners > 1 {

@@ -15,18 +15,24 @@
 //
 // Multicast. An invalidation carries the directory's own destination
 // structure (pointer list or bit-pattern). At each stage the switch
-// computes which output ports lead to at least one destination — a
-// partial-match query on the structure (directory.Dest.AnyMatch), the
+// determines which output ports lead to at least one destination — the
 // "calculation in the switch" of the paper — and replicates the message
 // into the corresponding crosspoint buffers, one replication slot per
-// extra copy.
+// extra copy. The model decodes the structure once at the source into an
+// ascending member list; a copy at stage k carries the run of members
+// under its digit prefix, and splitting that run by digit k yields its
+// output ports. Because a destination built from real nodes decodes to
+// no node past the machine, the partition reaches exactly the switches
+// and ports the per-port partial-match query would.
 //
 // Gathering. Replies to one multicast share a Gather identifier. Replies
 // to home h from sources with equal digit suffixes converge in the same
 // switches; each switch derives a wait pattern (which input ports will
 // contribute) from the original multicast destination structure and its
-// own position, absorbs all but the last contribution, and forwards one
-// combined message. The home receives exactly one reply per multicast.
+// own position — one four-port partial-match query on the structure,
+// directory.Dest.PortMask — absorbs all but the last contribution, and
+// forwards one combined message. The home receives exactly one reply per
+// multicast.
 //
 // Timing. Latency accumulates per hop from timing.Params; each switch
 // output port and each node injection/ejection port is a serialized
@@ -39,6 +45,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"cenju4/internal/directory"
 	"cenju4/internal/faults"
@@ -114,21 +121,22 @@ type Stats struct {
 	MaxPortBacklog sim.Time
 }
 
+// gatherEntry is one group's merge state in one switch.
 type gatherEntry struct {
-	waitMask uint8
+	id       uint64 // msg.Gather.ID of the group
 	latest   sim.Time
 	merged   int
+	waitMask uint8
 }
 
 type switchState struct {
 	portBusy [topology.SwitchRadix]sim.Time
-	// g1ID/g1 are a one-entry cache in front of the gathers map: reply
-	// gathering keeps at most a handful of groups live per switch (peak
-	// concurrency is tracked in Stats.PeakGathers), so almost every
-	// lookup on the reply hot path hits here without touching the map.
-	g1ID    uint64
-	g1      *gatherEntry
-	gathers map[uint64]*gatherEntry
+	// gathers holds the groups merging in this switch, in no order:
+	// looked up by a linear scan on the group ID, appended on a group's
+	// first contribution and swap-removed when its combined reply
+	// leaves. A switch sees a handful of live groups at a time, so the
+	// scan is a few compares of adjacent records where a map would hash.
+	gathers []gatherEntry
 }
 
 // Network is a simulated multistage interconnection network.
@@ -154,37 +162,25 @@ type Network struct {
 	nextGatherID  uint64
 	activeGathers int
 
-	// Hot-path scratch pools, all single-threaded like the engine:
-	// memberBuf backs Send's destination expansion, freeDeliveries
-	// recycles the per-event delivery records handed to sim.AtCall,
-	// freeGathers recycles per-(gather, switch) merge entries, and
-	// freeGroups recycles the msg.Gather group records themselves (a
-	// group retires when its combined reply is delivered to the home).
-	memberBuf      []topology.NodeID
-	freeDeliveries []*deliveryEvent
-	freeGathers    []*gatherEntry
-	freeGroups     []*msg.Gather
+	// deliverFn is the delivery callback, bound once in New: every
+	// scheduled delivery passes the message itself as the event argument.
+	deliverFn func(any)
+
+	// Hot-path scratch, single-threaded like the engine: memberBuf backs
+	// Send's destination expansion, and freeGroups recycles the
+	// msg.Gather group records (a group retires when its combined reply
+	// is delivered to the home).
+	memberBuf  []topology.NodeID
+	freeGroups []*msg.Gather
 }
 
-// deliveryEvent carries one scheduled handler invocation through the event
-// queue. Together with runDelivery and Engine.AtCall it replaces the
-// closure the network used to allocate per delivered message.
-type deliveryEvent struct {
-	n    *Network
-	m    *msg.Message
-	node topology.NodeID
-}
-
-// runDelivery fires one delivery: the record is recycled before the
-// handler runs, so handlers that send (and thus deliver) more messages
-// reuse it immediately.
+// runDelivery fires one delivery scheduled by deliver. The receiving
+// node is m.Dest's single pointer: every delivered message — unicast,
+// multicast copy, singlecast expansion, gathered reply, injected
+// duplicate — is addressed to exactly one node.
 //
 //cenju4:hotpath
-func runDelivery(x any) {
-	d := x.(*deliveryEvent)
-	n, m, node := d.n, d.m, d.node
-	d.m = nil
-	n.freeDeliveries = append(n.freeDeliveries, d)
+func (n *Network) runDelivery(m *msg.Message) {
 	// A delivered gathered reply (InvAck/UpdateAck — never the Invalidate
 	// or UpdateData multicast, whose copies merely carry the group as
 	// metadata) is its group's single combined arrival: after the handler
@@ -206,36 +202,11 @@ func runDelivery(x any) {
 		}
 		return
 	}
-	n.handlers[node](m)
+	n.handlers[m.Dest.Pointers()[0]](m)
 	n.cfg.Pool.Put(m)
 	if g != nil {
 		n.freeGroups = append(n.freeGroups, g)
 	}
-}
-
-// allocDelivery returns a delivery record bound to n.
-func (n *Network) allocDelivery() *deliveryEvent {
-	if k := len(n.freeDeliveries); k > 0 {
-		d := n.freeDeliveries[k-1]
-		n.freeDeliveries[k-1] = nil
-		n.freeDeliveries = n.freeDeliveries[:k-1]
-		return d
-	}
-	//cenju4:alloc-ok pool miss grows the steady-state working set once, then recycles
-	return &deliveryEvent{n: n}
-}
-
-// allocGatherEntry returns a zeroed gather entry.
-func (n *Network) allocGatherEntry() *gatherEntry {
-	if k := len(n.freeGathers); k > 0 {
-		ge := n.freeGathers[k-1]
-		n.freeGathers[k-1] = nil
-		n.freeGathers = n.freeGathers[:k-1]
-		*ge = gatherEntry{}
-		return ge
-	}
-	//cenju4:alloc-ok pool miss grows the steady-state working set once, then recycles
-	return &gatherEntry{}
 }
 
 // New builds a network. The engine drives delivery events.
@@ -266,6 +237,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 
 		memberBuf: make([]topology.NodeID, 0, cfg.Nodes),
 	}
+	n.deliverFn = func(x any) { n.runDelivery(x.(*msg.Message)) }
 	return n
 }
 
@@ -294,16 +266,12 @@ func (n *Network) digit(x int, k int) int {
 }
 
 // switchFor returns the switch at stage k on the path from src to dst:
-// coordinates dst[0..k-1] ++ src[k+1..S-1].
+// coordinates dst[0..k-1] ++ src[k+1..S-1], i.e. dst's bits above digit
+// k followed by src's bits below it. A multicast copy's switch is the
+// same with dst any destination under the copy's prefix.
 func (n *Network) switchFor(k, src, dst int) *switchState {
-	idx := 0
-	for j := 0; j < k; j++ {
-		idx = idx<<2 | n.digit(dst, j)
-	}
-	for j := k + 1; j < n.stages; j++ {
-		idx = idx<<2 | n.digit(src, j)
-	}
-	return &n.switches[k*n.perStage+idx]
+	low := 2 * (n.stages - 1 - k)
+	return &n.switches[k*n.perStage+(dst>>(low+2)<<low|src&(1<<low-1))]
 }
 
 // claim serializes use of a port resource: the transfer starts when both
@@ -334,7 +302,7 @@ func (n *Network) stall(t sim.Time) sim.Time {
 }
 
 func (n *Network) hopSer(data bool) (hop, ser sim.Time) {
-	p := n.cfg.Params
+	p := &n.cfg.Params
 	if data {
 		return p.SwitchHopData, p.SerializeData
 	}
@@ -344,7 +312,7 @@ func (n *Network) hopSer(data bool) (hop, ser sim.Time) {
 // walkUnicast reserves the path src->dst starting at time t and returns
 // the arrival time at the destination node.
 func (n *Network) walkUnicast(src, dst int, t sim.Time, data bool) sim.Time {
-	p := n.cfg.Params
+	p := &n.cfg.Params
 	hop, ser := n.hopSer(data)
 	t = n.claim(&n.inject[src], t, ser) + p.NetFixed/2
 	n.injectBusy += ser
@@ -361,13 +329,14 @@ func (n *Network) walkUnicast(src, dst int, t sim.Time, data bool) sim.Time {
 	return n.claim(&n.eject[dst], t, ser) + p.NetFixed/2
 }
 
-// deliver schedules the handler invocation for node at time t. The
-// message is released to the pool (if any) when the handler returns:
-// delivery is the end of the network's ownership, and pooled handlers
-// are required not to retain.
+// deliver schedules the handler invocation at time t for the one node
+// m.Dest names. The message is released to the pool (if any) when the
+// handler returns: delivery is the end of the network's ownership, and
+// pooled handlers are required not to retain.
 //
 //cenju4:hotpath
-func (n *Network) deliver(m *msg.Message, node topology.NodeID, t sim.Time) {
+func (n *Network) deliver(m *msg.Message, t sim.Time) {
+	node := m.Dest.Pointers()[0]
 	if n.handlers[node] == nil {
 		panic(fmt.Sprintf("network: no handler attached at %v", node))
 	}
@@ -385,9 +354,7 @@ func (n *Network) deliver(m *msg.Message, node topology.NodeID, t sim.Time) {
 			// injector's pair floor keeps later traffic behind both).
 			cp := n.cfg.Pool.Clone(m)
 			n.stats.Deliveries++
-			dd := n.allocDelivery()
-			dd.m, dd.node = cp, node
-			n.eng.AtCall(t+1, runDelivery, dd)
+			n.eng.AtCall(t+1, n.deliverFn, cp)
 		case faults.CorruptMsg:
 			// Flip one bit — payload when there is one, the checksum
 			// field itself otherwise. runDelivery detects and discards.
@@ -401,9 +368,7 @@ func (n *Network) deliver(m *msg.Message, node topology.NodeID, t sim.Time) {
 		}
 	}
 	n.stats.Deliveries++
-	d := n.allocDelivery()
-	d.m, d.node = m, node
-	n.eng.AtCall(t, runDelivery, d)
+	n.eng.AtCall(t, n.deliverFn, m)
 }
 
 // Send injects a message. Singlecast messages go to the single node in
@@ -426,20 +391,30 @@ func (n *Network) Send(m *msg.Message) {
 		n.walkGather(m, now)
 		return
 	}
-	// memberBuf is scratch for this call only: deliveries copy the one
-	// NodeID they need, and handlers run from the event queue, after
-	// Send returned.
+	// memberBuf is scratch for this call only: every delivered message
+	// carries its one destination in its own Dest, and handlers run from
+	// the event queue, after Send returned.
 	members := m.Dest.Members(n.memberBuf[:0], n.cfg.Nodes)
 	switch {
 	case len(members) == 0:
 		panic("network: message with empty destination")
 	case len(members) == 1:
+		if m.Dest.IsPattern {
+			// A one-member bit pattern (all nodes of a 1-node machine)
+			// travels as the singlecast it is.
+			m.Dest = directory.Single(members[0])
+		}
 		t := n.walkUnicast(int(m.Src), int(members[0]), now, m.HasData)
-		n.deliver(m, members[0], t)
+		n.deliver(m, t)
 	default:
 		if n.cfg.Multicast {
 			n.stats.Multicasts++
-			n.walkMulticast(m, now)
+			if !m.Dest.IsPattern {
+				// A pointer list is in insertion order (at most four
+				// entries); bit-pattern decodes are already ascending.
+				slices.Sort(members)
+			}
+			n.walkMulticast(m, members, now)
 		} else {
 			// Singlecast expansion: the source injects one copy per
 			// destination, serialized at its injection port.
@@ -447,7 +422,7 @@ func (n *Network) Send(m *msg.Message) {
 				cp := n.cfg.Pool.Clone(m)
 				cp.Dest = directory.Single(d)
 				t := n.walkUnicast(int(m.Src), int(d), now, m.HasData)
-				n.deliver(cp, d, t)
+				n.deliver(cp, t)
 			}
 		}
 		// Fan-out complete: only the per-destination copies travel on.
@@ -455,59 +430,47 @@ func (n *Network) Send(m *msg.Message) {
 	}
 }
 
-// destHasPrefix reports whether any destination's address (stage-width)
-// begins with the given digit prefix.
-func (n *Network) destHasPrefix(d directory.Dest, prefix, digits int) bool {
-	totalBits := 2 * n.stages
-	shift := totalBits - 2*digits
-	mask := uint32(1)<<(2*digits) - 1
-	value := uint32(prefix)
-	if shift >= 32 {
-		return false
-	}
-	mask <<= shift
-	value <<= shift
-	if value>>topology.NodeBits != 0 {
-		return false // prefix requires address bits above the node width
-	}
-	// Bits of the mask above the node width are satisfied by every real
-	// node (their address bits there are zero), so clip the mask.
-	mask &= 1<<topology.NodeBits - 1
-	return d.AnyMatch(mask, value)
-}
-
-// walkMulticast replicates m down the switch tree. At stage k a copy
-// identified by its chosen digit prefix fans out to every port whose
-// extended prefix still covers a destination.
-func (n *Network) walkMulticast(m *msg.Message, t sim.Time) {
-	p := n.cfg.Params
+// walkMulticast replicates m down the switch tree to the ascending
+// destination list members.
+func (n *Network) walkMulticast(m *msg.Message, members []topology.NodeID, t sim.Time) {
+	p := &n.cfg.Params
 	_, ser := n.hopSer(m.HasData)
 	start := n.claim(&n.inject[int(m.Src)], t, ser)
 	n.injectBusy += ser
-	n.mcStep(m, 0, 0, start+p.NetFixed/2)
+	n.mcStep(m, members, 0, start+p.NetFixed/2)
 }
 
-func (n *Network) mcStep(m *msg.Message, k, prefix int, t sim.Time) {
-	p := n.cfg.Params
+// mcStep advances one multicast copy through stage k. members are the
+// copy's destinations, ascending, so they share digits 0..k-1 and the
+// copy's switch follows from any of them. Splitting them into runs of
+// equal digit k yields the output ports in ascending order, one
+// replication slot per copy after the first — the ports whose extended
+// prefix covers a destination, the switch's calculation in the paper.
+//
+// The list is the destination structure decoded below Nodes, and that
+// loses nothing: a destination built from real nodes of a power-of-two
+// machine decodes to no node >= Nodes, because each one-hot field of a
+// bit pattern only holds values real nodes have (and a pointer is a
+// real node). So no prefix leads only to nodes past the machine.
+func (n *Network) mcStep(m *msg.Message, members []topology.NodeID, k int, t sim.Time) {
+	p := &n.cfg.Params
+	hop, ser := n.hopSer(m.HasData)
 	if k == n.stages {
-		node := topology.NodeID(prefix)
-		if int(node) >= n.cfg.Nodes {
-			return
-		}
-		_, ser := n.hopSer(m.HasData)
+		node := members[0]
 		arr := n.claim(&n.eject[int(node)], t, ser) + p.NetFixed/2
 		n.ejectBusy += ser
 		cp := n.cfg.Pool.Clone(m)
 		cp.Dest = directory.Single(node)
-		n.deliver(cp, node, arr)
+		n.deliver(cp, arr)
 		return
 	}
-	hop, ser := n.hopSer(m.HasData)
-	sw := n.mcSwitch(m, k, prefix)
-	copyIdx := 0
-	for d := 0; d < topology.SwitchRadix; d++ {
-		if !n.destHasPrefix(m.Dest, prefix<<2|d, k+1) {
-			continue
+	sw := n.switchFor(k, int(m.Src), int(members[0]))
+	shift := 2 * (n.stages - 1 - k)
+	for copyIdx := 0; len(members) > 0; copyIdx++ {
+		d := int(members[0]) >> shift & 3
+		j := 1
+		for j < len(members) && int(members[j])>>shift&3 == d {
+			j++
 		}
 		depart := t + sim.Time(copyIdx)*p.ReplicateSlot
 		start := n.claim(&sw.portBusy[d], depart, ser)
@@ -517,20 +480,9 @@ func (n *Network) mcStep(m *msg.Message, k, prefix int, t sim.Time) {
 		if copyIdx > 0 {
 			n.stats.Replications++
 		}
-		n.mcStep(m, k+1, prefix<<2|d, start+hop+n.stall(start))
-		copyIdx++
+		n.mcStep(m, members[:j], k+1, start+hop+n.stall(start))
+		members = members[j:]
 	}
-}
-
-// mcSwitch returns the switch a multicast copy occupies at stage k:
-// coordinates prefix ++ src[k+1..S-1].
-func (n *Network) mcSwitch(m *msg.Message, k, prefix int) *switchState {
-	src := int(m.Src)
-	idx := prefix
-	for j := k + 1; j < n.stages; j++ {
-		idx = idx<<2 | n.digit(src, j)
-	}
-	return &n.switches[k*n.perStage+idx]
 }
 
 // AllocGather creates a gather group for a multicast with the given
@@ -562,29 +514,15 @@ func (n *Network) AllocGather(spec directory.Dest, home topology.NodeID) *msg.Ga
 // multicast destination has digit k equal to p and the same digit suffix
 // as src (those are exactly the members whose replies converge here).
 func (n *Network) waitPattern(spec directory.Dest, src, k int) uint8 {
-	w := 2 * (n.stages - k) // bits covering digits k..S-1
-	suffixBits := uint32(src) & (1<<(w-2) - 1)
-	var mask uint32 = 1<<w - 1
-	if w > topology.NodeBits {
-		mask = 1<<topology.NodeBits - 1
-	}
-	var pat uint8
-	for p := 0; p < topology.SwitchRadix; p++ {
-		value := uint32(p)<<(w-2) | suffixBits
-		if value>>topology.NodeBits != 0 {
-			continue
-		}
-		if spec.AnyMatch(mask, value) {
-			pat |= 1 << p
-		}
-	}
-	return pat
+	shift := 2 * (n.stages - 1 - k) // digit k; the suffix lies below it
+	suffix := uint32(1)<<shift - 1
+	return spec.PortMask(suffix&(1<<topology.NodeBits-1), uint32(src)&suffix, shift)
 }
 
 // walkGather advances one gather contribution from m.Src toward the
 // home, merging with sibling contributions at every stage.
 func (n *Network) walkGather(m *msg.Message, t sim.Time) {
-	p := n.cfg.Params
+	p := &n.cfg.Params
 	hop, ser := n.hopSer(m.HasData)
 	g := m.Gather
 	if g.Merged == 0 {
@@ -596,48 +534,39 @@ func (n *Network) walkGather(m *msg.Message, t sim.Time) {
 	merged := g.Merged
 	for k := 0; k < n.stages; k++ {
 		sw := n.switchFor(k, src, home)
-		var ge *gatherEntry
-		switch {
-		case sw.g1 != nil && sw.g1ID == g.ID:
-			ge = sw.g1
-		case sw.gathers != nil:
-			ge = sw.gathers[g.ID]
-		}
-		if ge == nil {
-			ge = n.allocGatherEntry()
-			ge.waitMask = n.waitPattern(g.Spec, src, k)
-			if sw.g1 == nil {
-				sw.g1, sw.g1ID = ge, g.ID
-			} else {
-				if sw.gathers == nil {
-					//cenju4:alloc-ok created on first cache overflow, retained for the network's lifetime
-					sw.gathers = make(map[uint64]*gatherEntry)
-				}
-				sw.gathers[g.ID] = ge
+		in := uint8(1) << n.digit(src, k)
+		// Every contribution reaching this switch shares src's digit
+		// suffix, hence this wait pattern: when it names only our input
+		// port, no other contribution comes and no entry is needed.
+		if wait := n.waitPattern(g.Spec, src, k); wait != in {
+			// Contributions converge here from other ports too: merge.
+			i := 0
+			for i < len(sw.gathers) && sw.gathers[i].id != g.ID {
+				i++
 			}
+			if i == len(sw.gathers) {
+				sw.gathers = append(sw.gathers, gatherEntry{id: g.ID, waitMask: wait})
+			}
+			ge := &sw.gathers[i]
+			ge.waitMask &^= in
+			ge.merged += merged
+			if t > ge.latest {
+				ge.latest = t
+			}
+			if ge.waitMask != 0 {
+				// Earlier contribution: absorbed here, removed from the
+				// buffer (its counts live on in the gather entry).
+				n.stats.GatherMerges++
+				n.cfg.Pool.Put(m)
+				return
+			}
+			merged, t = ge.merged, ge.latest
+			last := len(sw.gathers) - 1
+			sw.gathers[i] = sw.gathers[last]
+			sw.gathers = sw.gathers[:last]
 		}
-		inPort := n.digit(src, k)
-		ge.waitMask &^= 1 << inPort
-		ge.merged += merged
-		if t > ge.latest {
-			ge.latest = t
-		}
-		if ge.waitMask != 0 {
-			// Earlier contribution: absorbed here, removed from the buffer
-			// (its counts live on in the gather entry).
-			n.stats.GatherMerges++
-			n.cfg.Pool.Put(m)
-			return
-		}
-		// Last contribution: forward the combined message.
-		merged = ge.merged
-		t = ge.latest + p.GatherMerge
-		if sw.g1 == ge {
-			sw.g1 = nil
-		} else {
-			delete(sw.gathers, g.ID)
-		}
-		n.freeGathers = append(n.freeGathers, ge)
+		// Last (or sole) contribution: forward the combined message.
+		t += p.GatherMerge
 		port := n.digit(home, k)
 		start := n.claim(&sw.portBusy[port], t, ser)
 		t = start + hop + n.stall(start)
@@ -649,7 +578,7 @@ func (n *Network) walkGather(m *msg.Message, t sim.Time) {
 	t = n.claim(&n.eject[home], t, ser) + p.NetFixed/2
 	g.Merged = merged
 	n.activeGathers--
-	n.deliver(m, topology.NodeID(home), t)
+	n.deliver(m, t)
 }
 
 // ActiveGathers returns the number of gather groups currently in
