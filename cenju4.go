@@ -28,16 +28,16 @@
 package cenju4
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"cenju4/internal/core"
 	"cenju4/internal/directory"
-	"cenju4/internal/faults"
 	"cenju4/internal/fuzz"
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
-	"cenju4/internal/npb"
+	"cenju4/internal/spec"
 	"cenju4/internal/topology"
 	"cenju4/internal/trace"
 )
@@ -253,68 +253,33 @@ type WorkloadOptions struct {
 
 // RunNPB builds and runs one of the paper's workloads. app is one of
 // "bt", "cg", "ft", "sp"; variant is "seq", "mpi", "dsm1" or "dsm2".
+// The options are checked by spec.Spec.Validate (a bad node count is a
+// machine.InvalidNodeCountError; scale must lie in [0.001, 4] and
+// iterations in [1, 64]), and the run is checked for machine-wide
+// coherence before it is reported.
 func RunNPB(app, variant string, opts WorkloadOptions) (WorkloadResult, error) {
-	a, err := parseApp(app)
-	if err != nil {
-		return WorkloadResult{}, err
-	}
-	v, err := parseVariant(variant)
-	if err != nil {
-		return WorkloadResult{}, err
-	}
-	if opts.Nodes == 0 {
-		opts.Nodes = 16
-	}
-	if v == npb.Seq {
-		opts.Nodes = 1
-	}
-	cfg := machine.Config{Nodes: opts.Nodes, Multicast: true}
-	if err := cfg.Validate(); err != nil {
-		return WorkloadResult{}, err
-	}
-	mapped := true
-	if opts.DataMapping != nil {
-		mapped = *opts.DataMapping
-	}
-	w, err := npb.Build(npb.Options{
-		App:            a,
-		Variant:        v,
+	s := spec.Spec{
+		App:            app,
+		Variant:        variant,
 		Nodes:          opts.Nodes,
-		DataMapping:    mapped,
+		NoMapping:      opts.DataMapping != nil && !*opts.DataMapping,
 		Iterations:     opts.Iterations,
 		Scale:          opts.Scale,
 		UpdateProtocol: opts.UpdateProtocol,
-	})
+		Fault:          opts.Fault,
+	}.Normalize()
+	if err := s.Validate(); err != nil {
+		return WorkloadResult{}, err
+	}
+	out, err := s.Run(context.Background(), opts.Trace, 0)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
-	var fault faults.Spec
-	if opts.Fault != "" {
-		fault, err = faults.ParseSpec(opts.Fault)
-		if err != nil {
-			return WorkloadResult{}, err
-		}
-		fault = fault.Normalize()
-		if err := fault.Validate(); err != nil {
-			return WorkloadResult{}, err
-		}
-	}
-	cfg.UpdateMode, cfg.Fault = w.UpdateMode, fault
-	m := machine.New(cfg)
-	if opts.Trace != nil {
-		m.SetTracer(opts.Trace.Tracer())
-	}
-	r := m.Run(w.Progs)
 	if opts.Metrics != nil {
-		m.MetricsInto(opts.Metrics)
-	}
-	tot := r.Totals()
-	misses := float64(tot.Misses)
-	if misses == 0 {
-		misses = 1
+		out.Machine.MetricsInto(opts.Metrics)
 	}
 	lat := make(map[string]LatencyStats)
-	for kind, h := range m.LatencyHistograms() {
+	for kind, h := range out.Machine.LatencyHistograms() {
 		lat[kind.String()] = LatencyStats{
 			Count: h.Count(),
 			Mean:  time.Duration(h.Mean()),
@@ -323,34 +288,20 @@ func RunNPB(app, variant string, opts WorkloadOptions) (WorkloadResult, error) {
 			Max:   time.Duration(h.Max()),
 		}
 	}
+	tot := out.Result.Totals()
+	private, local, remote := spec.MissShares(tot)
 	return WorkloadResult{
-		Time:             time.Duration(r.Time),
+		Time:             time.Duration(out.Result.Time),
 		Instructions:     tot.Instructions,
 		MemAccesses:      tot.MemAccesses,
 		MissRatio:        tot.MissRatio(),
-		PrivateMissShare: float64(tot.PrivateMisses) / misses,
-		LocalMissShare:   float64(tot.LocalMisses) / misses,
-		RemoteMissShare:  float64(tot.RemoteMisses) / misses,
-		SyncFraction:     float64(tot.SyncTime) / (float64(r.Time) * float64(opts.Nodes)),
-		RewriteRatio:     w.Meta.RewriteRatio,
+		PrivateMissShare: private,
+		LocalMissShare:   local,
+		RemoteMissShare:  remote,
+		SyncFraction:     spec.SyncFraction(out.Result),
+		RewriteRatio:     out.Meta.RewriteRatio,
 		Latency:          lat,
 	}, nil
-}
-
-func parseApp(s string) (npb.App, error) {
-	a, err := npb.ParseApp(s)
-	if err != nil {
-		return 0, fmt.Errorf("cenju4: unknown application %q (want bt, cg, ft or sp)", s)
-	}
-	return a, nil
-}
-
-func parseVariant(s string) (npb.Variant, error) {
-	v, err := npb.ParseVariant(s)
-	if err != nil {
-		return 0, fmt.Errorf("cenju4: unknown variant %q (want seq, mpi, dsm1 or dsm2)", s)
-	}
-	return v, nil
 }
 
 // ---------------------------------------------------------------------

@@ -22,14 +22,16 @@ import (
 	"strings"
 	"time"
 
+	"cenju4/cmd/internal/artifact"
 	"cenju4/cmd/internal/profiling"
 	"cenju4/internal/experiments"
 	"cenju4/internal/faults"
 	"cenju4/internal/metrics"
-	"cenju4/internal/trace"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("cenju4-bench: ")
 	quick := flag.Bool("quick", true, "quick preset (small problem scale)")
 	full := flag.Bool("full", false, "full preset (Class A scale; overrides -quick)")
 	scale := flag.Float64("scale", 0, "override problem scale (1.0 = NPB Class A)")
@@ -68,10 +70,6 @@ func main() {
 	if *fault != "" {
 		spec, err := faults.ParseSpec(*fault)
 		if err != nil {
-			log.Fatal(err)
-		}
-		spec = spec.Normalize()
-		if err := spec.Validate(); err != nil {
 			log.Fatal(err)
 		}
 		cfg.Fault = spec
@@ -142,34 +140,13 @@ func main() {
 		if reg == nil {
 			reg = metrics.New() // no machine-building experiment selected
 		}
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			err = reg.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cenju4-bench: %v\n", err)
-			os.Exit(1)
+		if err := artifact.Metrics(*metricsOut, reg); err != nil {
+			log.Fatal(err)
 		}
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			var dropped int
-			dropped, err = trace.WriteChrome(f, cfg.Observe.Streams...)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if dropped > 0 {
-				fmt.Fprintf(os.Stderr, "cenju4-bench: trace truncated: %d events beyond -trace-max %d (truncation is recorded in %s)\n",
-					dropped, *traceMax, *traceOut)
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cenju4-bench: %v\n", err)
-			os.Exit(1)
+		if err := artifact.Trace(*traceOut, fmt.Sprintf("-trace-max %d", *traceMax), cfg.Observe.Streams...); err != nil {
+			log.Fatal(err)
 		}
 	}
 }

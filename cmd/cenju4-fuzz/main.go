@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cenju4-fuzz -seed 1 -ops 50000                    # full sweep
-//	cenju4-fuzz -pattern hotspot -mode nack -ops 5000 # one slice
+//	cenju4-fuzz -pattern hotspot,migratory -mode nack # one slice
 //	cenju4-fuzz -replay 834259609813245009            # re-run one case
 //	                                                    with trace dump
 //	cenju4-fuzz -metrics-out m.json                   # merged case metrics
@@ -12,9 +12,23 @@
 //	                                                    the replayed case
 //	cenju4-fuzz -cpuprofile cpu.pprof -memprofile mem.pprof  # pprof files
 //
+// With -chaos the matrix runs once per fault plan (the preset grid, or
+// the single -fault plan) and each plan is held to its contract:
+// recoverable plans must pass the shadow-memory oracle (with
+// -check-parallel, with byte-identical digests at -parallel 1), and
+// unrecoverable plans must abort within the event budget — a
+// quiescence-watchdog trip with a stuck-state diagnosis under the
+// queuing protocol, an event-budget abort for the nack protocol's
+// livelock. Chaos sweeps never shrink.
+//
+//	cenju4-fuzz -chaos -pattern hotspot,migratory -multicast on -update off -stages 4
+//	cenju4-fuzz -chaos -fault drop-forwards       # one plan (watchdog expected)
+//	cenju4-fuzz -chaos -fault 'drop=0.1,timeout=100000' -expect recover
+//
 // The run is deterministic: the same seed and flags reproduce a
 // byte-identical report. On any oracle violation, invariant failure or
-// deadlock the process exits 1 after printing the shrunk reproducer.
+// deadlock the process exits 1 after printing the shrunk reproducer;
+// with -chaos it exits 1 when any plan misses its contract.
 package main
 
 import (
@@ -25,6 +39,7 @@ import (
 	"runtime"
 	"strings"
 
+	"cenju4/cmd/internal/artifact"
 	"cenju4/cmd/internal/profiling"
 	"cenju4/internal/core"
 	"cenju4/internal/faults"
@@ -32,7 +47,6 @@ import (
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
 	"cenju4/internal/topology"
-	"cenju4/internal/trace"
 )
 
 // prof is package-level so the failure exits in replayCase can flush it.
@@ -45,7 +59,7 @@ func main() {
 	ops := flag.Int("ops", 2000, "access budget per case")
 	nodes := flag.Int("nodes", 8, "node count (power of two, <= 1024)")
 	rounds := flag.Int("rounds", 4, "quiescent validation rounds per case")
-	pattern := flag.String("pattern", "all", "traffic pattern (or all): uniform, hotspot, partition, migratory, producer-consumer, false-sharing, eviction")
+	pattern := flag.String("pattern", "all", "traffic patterns (comma separated, or all): uniform, hotspot, partition, migratory, producer-consumer, false-sharing, eviction")
 	mode := flag.String("mode", "all", "protocol mode: queuing, nack, all")
 	multicast := flag.String("multicast", "all", "multicast: on, off, all")
 	update := flag.String("update", "all", "update protocol: on, off, all")
@@ -55,8 +69,11 @@ func main() {
 	replay := flag.Uint64("replay", 0, "re-run the one case with this per-case seed, protocol trace attached")
 	quiet := flag.Bool("q", false, "suppress per-case progress lines")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent fuzz cases (1 = sequential; report and progress output are byte-identical at every setting)")
-	fault := flag.String("fault", "", "deterministic fault plan for every case: preset name or k=v spec (see cenju4-chaos for plan-grid sweeps)")
-	budget := flag.Uint64("budget", 0, "per-case event budget (0 = unlimited; set one when -fault may wedge nack-mode cases)")
+	fault := flag.String("fault", "", "deterministic fault plan: preset name or k=v spec; applied to every case, or with -chaos the one plan to sweep (default: the preset grid)")
+	budget := flag.Uint64("budget", 0, fmt.Sprintf("per-case event budget (0 = unlimited, or %d with -chaos; set one when -fault may wedge nack-mode cases)", fuzz.DefaultChaosBudget))
+	chaos := flag.Bool("chaos", false, "sweep the matrix under fault plans and hold each plan to its contract")
+	expect := flag.String("expect", "auto", "with -chaos -fault, the plan's expected outcome: auto, recover, watchdog")
+	checkParallel := flag.Bool("check-parallel", false, "with -chaos, re-run recoverable plans at -parallel 1 and compare digests")
 	metricsOut := flag.String("metrics-out", "", "write the merged metrics registry of all cases as canonical JSON to this file")
 	traceOut := flag.String("trace-out", "", "write the replayed case's Chrome-trace-event JSON to this file (requires -replay)")
 	flag.Parse()
@@ -67,6 +84,18 @@ func main() {
 
 	if *traceOut != "" && *replay == 0 {
 		log.Fatal("-trace-out requires -replay: full-matrix runs do not retain per-case event streams")
+	}
+	if *chaos && (*replay != 0 || *metricsOut != "") {
+		log.Fatal("-chaos takes neither -replay nor -metrics-out")
+	}
+	if !*chaos && (*expect != "auto" || *checkParallel) {
+		log.Fatal("-expect and -check-parallel require -chaos")
+	}
+	switch {
+	case *expect != "auto" && *expect != "recover" && *expect != "watchdog":
+		log.Fatalf("-expect: %q is not auto, recover, or watchdog", *expect)
+	case *expect != "auto" && *fault == "":
+		log.Fatal("-expect requires -fault: the preset grid carries its own expectations")
 	}
 
 	opts := fuzz.Options{
@@ -85,23 +114,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		spec = spec.Normalize()
-		if err := spec.Validate(); err != nil {
-			log.Fatal(err)
-		}
 		opts.Fault = spec
 	}
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}
-	if *pattern != "all" {
-		p, err := fuzz.ParsePattern(*pattern)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Patterns = []fuzz.Pattern{p}
-	}
 	var err error
+	if opts.Patterns, err = patterns(*pattern); err != nil {
+		log.Fatal(err)
+	}
 	if opts.Cells, err = cells(*mode, *multicast, *update, *stages); err != nil {
 		log.Fatal(err)
 	}
@@ -114,6 +135,10 @@ func main() {
 		}
 	}
 
+	if *chaos {
+		runChaos(opts, *fault, *expect, *checkParallel)
+		return
+	}
 	if *replay != 0 {
 		replayCase(opts, *replay, *metricsOut, *traceOut)
 		return
@@ -126,7 +151,7 @@ func main() {
 		if reg == nil {
 			reg = metrics.New()
 		}
-		if err := writeMetrics(*metricsOut, reg); err != nil {
+		if err := artifact.Metrics(*metricsOut, reg); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -136,17 +161,43 @@ func main() {
 	}
 }
 
-// writeMetrics writes reg as canonical JSON to path.
-func writeMetrics(path string, reg *metrics.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// runChaos sweeps opts's matrix under the preset plan grid, or under
+// the single plan named by fault, and exits 1 when a plan misses its
+// contract.
+func runChaos(opts fuzz.Options, fault, expect string, checkParallel bool) {
+	opts.Shrink = false
+	o := fuzz.ChaosOptions{Fuzz: opts, CheckParallel: checkParallel}
+	if fault != "" {
+		p := fuzz.Plan{Name: fault, Spec: opts.Fault, ExpectRecover: expect == "recover"}
+		if expect == "auto" {
+			// Recovery covers exactly the request/reply legs; faults
+			// confined there are repairable, anything wider is not.
+			p.ExpectRecover = p.Spec.Scope == faults.ScopeRequestReply
+		}
+		o.Plans = []fuzz.Plan{p}
 	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
+	rep := fuzz.RunChaos(o)
+	fmt.Print(rep.String())
+	if rep.Failed() {
+		prof.Stop()
+		os.Exit(1)
 	}
-	return f.Close()
+}
+
+// patterns parses the -pattern list.
+func patterns(list string) ([]fuzz.Pattern, error) {
+	if list == "all" {
+		return fuzz.AllPatterns(), nil
+	}
+	var out []fuzz.Pattern
+	for _, name := range strings.Split(list, ",") {
+		p, err := fuzz.ParsePattern(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // replayCase re-runs the single case whose derived seed matches, with
@@ -177,24 +228,14 @@ func replayCase(opts fuzz.Options, caseSeed uint64, metricsOut, traceOut string)
 			res := fuzz.RunOps(c, streams)
 			fmt.Printf("replay %v\n", c)
 			if metricsOut != "" && res.Metrics != nil {
-				if err := writeMetrics(metricsOut, res.Metrics); err != nil {
+				if err := artifact.Metrics(metricsOut, res.Metrics); err != nil {
 					log.Fatal(err)
 				}
 			}
 			if traceOut != "" && res.Trace != nil {
-				f, err := os.Create(traceOut)
-				if err != nil {
+				stream := res.Trace.Stream(fmt.Sprintf("replay %d", caseSeed))
+				if err := artifact.Trace(traceOut, "the replay collector bound", stream); err != nil {
 					log.Fatal(err)
-				}
-				dropped, err := trace.WriteChrome(f, res.Trace.Stream(fmt.Sprintf("replay %d", caseSeed)))
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					log.Fatal(err)
-				}
-				if dropped > 0 {
-					log.Printf("trace truncated: %d events beyond the replay collector bound (truncation is recorded in %s)", dropped, traceOut)
 				}
 			}
 			if !res.Failed() {

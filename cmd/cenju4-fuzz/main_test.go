@@ -118,3 +118,24 @@ func TestCellsRejectsBadValues(t *testing.T) {
 		})
 	}
 }
+
+// TestPatternsList: -pattern takes a comma list in the order given,
+// or "all" for every generator.
+func TestPatternsList(t *testing.T) {
+	got, err := patterns("hotspot, migratory")
+	if err != nil {
+		t.Fatalf("patterns: %v", err)
+	}
+	want := []fuzz.Pattern{fuzz.PatternHotspot, fuzz.PatternMigratory}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("patterns = %v, want %v", got, want)
+	}
+	if all, err := patterns("all"); err != nil || len(all) != len(fuzz.AllPatterns()) {
+		t.Fatalf("patterns(all) = %v, %v", all, err)
+	}
+	for _, bad := range []string{"bogus", "hotspot,", "hotspot,bogus"} {
+		if _, err := patterns(bad); err == nil {
+			t.Errorf("patterns(%q) accepted", bad)
+		}
+	}
+}

@@ -31,6 +31,7 @@ import (
 	"syscall"
 
 	"cenju4/internal/serve"
+	"cenju4/internal/spec"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func main() {
 		Seed:        *seed,
 		SharedSpecs: *sharedSpecs,
 		MaxRetries:  *retries,
-		Spec: serve.Spec{
+		Spec: spec.Spec{
 			App: *app, Variant: *variant, Nodes: *nodes,
 			Iterations: *iters, Scale: *scale, Fault: *fault,
 		},

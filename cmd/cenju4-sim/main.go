@@ -17,10 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 
 	"cenju4"
+	"cenju4/cmd/internal/artifact"
 	"cenju4/cmd/internal/profiling"
 	"cenju4/internal/metrics"
 	"cenju4/internal/trace"
@@ -36,7 +36,7 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "problem scale (1.0 = NPB Class A)")
 	iters := flag.Int("iters", 2, "outer iterations")
 	seed := flag.Int64("seed", 0, "run label recorded in observability output (simulation is deterministic)")
-	fault := flag.String("fault", "", "deterministic fault plan: preset name or k=v spec (recoverable plans only; see cenju4-chaos for the grid)")
+	fault := flag.String("fault", "", "deterministic fault plan: preset name or k=v spec (recoverable plans only; see cenju4-fuzz -chaos for the grid)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry as canonical JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace-event (Perfetto-loadable) JSON file")
 	traceMax := flag.Int("trace-max", 1<<20, "trace event capacity; excess events are counted and surfaced")
@@ -73,33 +73,14 @@ func main() {
 
 	if reg != nil {
 		reg.Gauge("run/seed").Peak(*seed)
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := reg.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := artifact.Metrics(*metricsOut, reg); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if col != nil {
 		label := fmt.Sprintf("%s/%s nodes=%d seed=%d", *app, *variant, *nodes, *seed)
-		f, err := os.Create(*traceOut)
-		if err != nil {
+		if err := artifact.Trace(*traceOut, fmt.Sprintf("-trace-max %d", *traceMax), col.Stream(label)); err != nil {
 			log.Fatal(err)
-		}
-		dropped, err := trace.WriteChrome(f, col.Stream(label))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if dropped > 0 {
-			log.Printf("trace truncated: %d events beyond -trace-max %d (truncation is recorded in %s)",
-				dropped, *traceMax, *traceOut)
 		}
 	}
 

@@ -232,6 +232,10 @@ var SimPackages = map[string]bool{
 	// across runs and across -parallel settings.
 	"cenju4/internal/metrics": true,
 	"cenju4/internal/trace":   true,
+	// The run description decides which workload runs on which
+	// machine: its canonical form and digest must not depend on
+	// anything but the spec.
+	"cenju4/internal/spec": true,
 
 	// Deliberately NOT listed: cenju4/internal/serve and the cmd/
 	// binaries. The experiment service is wall-clock-legitimate —

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -9,6 +10,7 @@ import (
 	"cenju4/internal/npb"
 	"cenju4/internal/runner"
 	"cenju4/internal/sim"
+	"cenju4/internal/spec"
 )
 
 // paperNodes returns the machine size the paper uses for an application
@@ -28,26 +30,16 @@ type appRun struct {
 	obs    *runObservation
 }
 
-func runOne(cfg Config, app npb.App, v npb.Variant, nodes int, mapped bool) appRun {
-	w, err := npb.Build(npb.Options{
-		App:         app,
-		Variant:     v,
-		Nodes:       nodes,
-		DataMapping: mapped,
-		Iterations:  cfg.Iterations,
-		Scale:       cfg.Scale,
-	})
+// runOne executes one run description through spec.Run, whose
+// coherence check it turns into a panic like every other failed run;
+// label names the run's trace stream.
+func runOne(cfg Config, s spec.Spec, label string) appRun {
+	col := cfg.collector()
+	out, err := s.Run(context.Background(), col, 0)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+		panic(fmt.Sprintf("experiments: %s: %v", label, err))
 	}
-	m := machine.New(machine.Config{Nodes: nodes, Multicast: true, Fault: cfg.Fault})
-	col := cfg.observePre(m)
-	r := m.Run(w.Progs)
-	if err := m.Validate(); err != nil {
-		panic(fmt.Sprintf("experiments: coherence violated by %v/%v: %v", app, v, err))
-	}
-	label := fmt.Sprintf("%v/%v nodes=%d", app, v, nodes)
-	return appRun{meta: w.Meta, result: r, obs: cfg.observePost(m, col, label)}
+	return appRun{meta: out.Meta, result: out.Result, obs: cfg.observe(out.Machine, col, label)}
 }
 
 // appJob names one application run of a sweep: the job lists are pure
@@ -59,12 +51,29 @@ type appJob struct {
 	mapped bool
 }
 
+// spec is j's run description under cfg's problem size and fault plan.
+func (j appJob) spec(cfg Config) spec.Spec {
+	return spec.Spec{
+		App:        j.app.String(),
+		Variant:    j.v.String(),
+		Nodes:      j.nodes,
+		NoMapping:  !j.mapped,
+		Iterations: cfg.Iterations,
+		Scale:      cfg.Scale,
+		Fault:      cfg.Fault.String(),
+	}
+}
+
+// run executes j under its trace label.
+func (j appJob) run(cfg Config) appRun {
+	return runOne(cfg, j.spec(cfg), fmt.Sprintf("%v/%v nodes=%d", j.app, j.v, j.nodes))
+}
+
 // runJobs executes the jobs across cfg.Parallel workers (each run
 // builds its own machine) and returns the results in job order.
 func runJobs(cfg Config, jobs []appJob) []appRun {
 	runs, panics := runner.Map(cfg.parOpts(), len(jobs), func(i int) appRun {
-		j := jobs[i]
-		return runOne(cfg, j.app, j.v, j.nodes, j.mapped)
+		return jobs[i].run(cfg)
 	})
 	rethrow(panics)
 	for _, run := range runs {
@@ -306,19 +315,16 @@ func Table3(cfg Config) Table3Result {
 	for i, run := range runs {
 		j := jobs[i]
 		tot := run.result.Totals()
-		misses := float64(tot.Misses)
-		if misses == 0 {
-			misses = 1
-		}
+		private, local, remote := spec.MissShares(tot)
 		res.Rows = append(res.Rows, Table3Row{
 			App:       j.app,
 			Variant:   j.v,
 			Mapped:    j.mapped,
 			Nodes:     j.nodes,
 			MissRatio: tot.MissRatio(),
-			Private:   float64(tot.PrivateMisses) / misses,
-			Local:     float64(tot.LocalMisses) / misses,
-			Remote:    float64(tot.RemoteMisses) / misses,
+			Private:   private,
+			Local:     local,
+			Remote:    remote,
 		})
 	}
 	return res
@@ -395,24 +401,21 @@ func Table4(cfg Config) Table4Result {
 		if acc == 0 {
 			acc = 1
 		}
-		misses := float64(tot.Misses)
-		if misses == 0 {
-			misses = 1
-		}
+		private, local, remote := spec.MissShares(tot)
 		res.Rows = append(res.Rows, Table4Row{
 			App:          j.app,
 			Nodes:        j.nodes,
 			ExecTime:     run.result.Time,
-			SyncFrac:     float64(tot.SyncTime) / (float64(run.result.Time) * float64(j.nodes)),
+			SyncFrac:     spec.SyncFraction(run.result),
 			Instructions: tot.Instructions,
 			MemAccesses:  tot.MemAccesses,
 			AccPrivate:   float64(tot.PrivateAccesses) / acc,
 			AccLocal:     float64(tot.LocalAccesses) / acc,
 			AccRemote:    float64(tot.RemoteAccesses) / acc,
 			MissRatio:    tot.MissRatio(),
-			MissPrivate:  float64(tot.PrivateMisses) / misses,
-			MissLocal:    float64(tot.LocalMisses) / misses,
-			MissRemote:   float64(tot.RemoteMisses) / misses,
+			MissPrivate:  private,
+			MissLocal:    local,
+			MissRemote:   remote,
 		})
 	}
 	return res

@@ -80,19 +80,17 @@ type runObservation struct {
 	stream trace.Stream
 }
 
-// observePre installs a bounded trace collector on m when tracing is
+// collector returns a bounded trace collector when tracing is
 // requested; nil otherwise.
-func (c Config) observePre(m *machine.Machine) *trace.Collector {
+func (c Config) collector() *trace.Collector {
 	if c.Observe == nil || c.Observe.TraceCap <= 0 {
 		return nil
 	}
-	col := trace.NewCollector(c.Observe.TraceCap)
-	m.SetTracer(col.Tracer())
-	return col
+	return trace.NewCollector(c.Observe.TraceCap)
 }
 
-// observePost packages a finished run's registry and (optional) stream.
-func (c Config) observePost(m *machine.Machine, col *trace.Collector, label string) *runObservation {
+// observe packages a finished run's registry and (optional) stream.
+func (c Config) observe(m *machine.Machine, col *trace.Collector, label string) *runObservation {
 	if c.Observe == nil {
 		return nil
 	}

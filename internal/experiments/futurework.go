@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cenju4/internal/machine"
 	"cenju4/internal/npb"
 	"cenju4/internal/runner"
 	"cenju4/internal/sim"
@@ -46,38 +45,14 @@ func FutureWork(cfg Config) FutureWorkResult {
 		jobs = append(jobs, job{nodes, false}, job{nodes, true})
 	}
 	// Run 0 is the sequential CG baseline; runs 1.. are the jobs above.
-	type fwRun struct {
-		result machine.Result
-		obs    *runObservation
-	}
-	runs, panics := runner.Map(cfg.parOpts(), len(jobs)+1, func(i int) fwRun {
+	runs, panics := runner.Map(cfg.parOpts(), len(jobs)+1, func(i int) appRun {
 		if i == 0 {
-			r := runOne(cfg, npb.CG, npb.Seq, 1, false)
-			return fwRun{result: r.result, obs: r.obs}
+			return appJob{npb.CG, npb.Seq, 1, false}.run(cfg)
 		}
 		j := jobs[i-1]
-		w, err := npb.Build(npb.Options{
-			App:            npb.CG,
-			Variant:        npb.DSM2,
-			Nodes:          j.nodes,
-			DataMapping:    true,
-			Iterations:     cfg.Iterations,
-			Scale:          cfg.Scale,
-			UpdateProtocol: j.update,
-		})
-		if err != nil {
-			panic(err)
-		}
-		m := machine.New(machine.Config{
-			Nodes:      j.nodes,
-			Multicast:  true,
-			UpdateMode: w.UpdateMode,
-			Fault:      cfg.Fault,
-		})
-		col := cfg.observePre(m)
-		r := m.Run(w.Progs)
-		label := fmt.Sprintf("CG/dsm(2) nodes=%d update=%t", j.nodes, j.update)
-		return fwRun{result: r, obs: cfg.observePost(m, col, label)}
+		s := appJob{npb.CG, npb.DSM2, j.nodes, true}.spec(cfg)
+		s.UpdateProtocol = j.update
+		return runOne(cfg, s, fmt.Sprintf("CG/dsm(2) nodes=%d update=%t", j.nodes, j.update))
 	})
 	rethrow(panics)
 	for _, run := range runs {

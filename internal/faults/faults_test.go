@@ -53,7 +53,7 @@ func TestParseSpecPresetsAndErrors(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"bogus-preset", "drop", "drop=x", "drop=1.5", "drop=0.9,dup=0.9",
-		"from=9,until=3", "k=1",
+		"from=9,until=3", "k=1", "drop=NaN",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

@@ -206,7 +206,7 @@ func (s Spec) Validate() error {
 		name string
 		v    float64
 	}{{"drop", s.Drop}, {"dup", s.Dup}, {"delay", s.Delay}, {"corrupt", s.Corrupt}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("faults: %s rate %v outside [0,1]", p.name, p.v)
 		}
 	}

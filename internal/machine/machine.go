@@ -83,26 +83,36 @@ func (e *InvalidNodeCountError) Error() string {
 	return fmt.Sprintf("machine: invalid node count %d (want a power of two from 1 to %d)", e.Nodes, topology.MaxNodes)
 }
 
+// maxStages is the deepest network a machine may ask for: the paper's
+// count for the largest machine. The network allocates
+// Stages x 4^(Stages-1) switches up front, so a deeper one exhausts
+// memory instead of addressing more nodes.
+var maxStages = topology.StagesForNodes(topology.MaxNodes)
+
 // InvalidStageCountError reports a network stage count the machine's
 // network cannot be built with: 0 selects the paper's count, anything
-// else must be from 1 to 16 stages that address every node
+// else must be from 1 to maxStages stages that address every node
 // (4^Stages >= Nodes).
 type InvalidStageCountError struct{ Stages, Nodes int }
 
 func (e *InvalidStageCountError) Error() string {
-	return fmt.Sprintf("machine: %d network stages cannot address %d nodes (want 0 for the default, or 1 to 16 with 4^stages >= nodes)", e.Stages, e.Nodes)
+	return fmt.Sprintf("machine: %d network stages cannot address %d nodes (want 0 for the default, or 1 to %d with 4^stages >= nodes)", e.Stages, e.Nodes, maxStages)
 }
 
 // Validate reports a node count or stage count New would panic on as
-// an InvalidNodeCountError or InvalidStageCountError, so a boundary
-// that takes them from a user can refuse them with an error. Other
-// invalid fields still panic in New.
+// an InvalidNodeCountError or InvalidStageCountError, and a malformed
+// fault plan as the faults package's error, so a boundary that takes
+// them from a user can refuse them with an error. Other invalid fields
+// still panic in New.
 func (c Config) Validate() error {
 	if !topology.ValidNodeCount(c.Nodes) {
 		return &InvalidNodeCountError{Nodes: c.Nodes}
 	}
-	if s := c.Stages; s != 0 && (s < 1 || 2*s > 32 || 1<<(2*s) < c.Nodes) {
+	if s := c.Stages; s != 0 && (s < 1 || s > maxStages || 1<<(2*s) < c.Nodes) {
 		return &InvalidStageCountError{Stages: s, Nodes: c.Nodes}
+	}
+	if err := c.Fault.Normalize().Validate(); err != nil {
+		return fmt.Errorf("machine: %w", err)
 	}
 	return nil
 }
@@ -126,9 +136,6 @@ func New(cfg Config) *Machine {
 	}
 	m := &Machine{cfg: cfg, eng: sim.NewEngine()}
 	fs := cfg.Fault.Normalize()
-	if err := fs.Validate(); err != nil {
-		panic(fmt.Sprintf("machine: %v", err))
-	}
 	// One message pool serves the whole machine: controllers allocate
 	// from it, the network's release points feed it. Safe because every
 	// machine handler is Controller.Deliver, which never retains a

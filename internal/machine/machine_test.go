@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cenju4/internal/cpu"
+	"cenju4/internal/faults"
 	"cenju4/internal/msg"
 	"cenju4/internal/shmem"
 	"cenju4/internal/sim"
@@ -49,7 +50,7 @@ func TestConfigValidateStageCount(t *testing.T) {
 		{8, 0, true}, {1024, 0, true},
 		{4, 1, true}, {8, 1, false}, {16, 2, true}, {64, 2, false},
 		{64, 3, true}, {1024, 5, true}, {1024, 4, false},
-		{8, 16, true}, {8, 17, false}, {8, -1, false},
+		{8, 6, true}, {8, 7, false}, {8, 16, false}, {8, 17, false}, {8, -1, false},
 	} {
 		err := Config{Nodes: tc.nodes, Stages: tc.stages}.Validate()
 		var bad *InvalidStageCountError
@@ -61,16 +62,25 @@ func TestConfigValidateStageCount(t *testing.T) {
 		case !tc.ok && (bad.Stages != tc.stages || bad.Nodes != tc.nodes):
 			t.Errorf("%d nodes, %d stages: error names %+v", tc.nodes, tc.stages, *bad)
 		}
-		if tc.ok && tc.stages <= 6 {
-			// Must not panic. (A valid 16-stage network would be
-			// 16 x 4^15 switches: too large to build here.)
-			New(Config{Nodes: tc.nodes, Stages: tc.stages})
+		if tc.ok {
+			New(Config{Nodes: tc.nodes, Stages: tc.stages}) // must not panic
 		}
 	}
 	// A bad node count is reported first.
 	var badNodes *InvalidNodeCountError
 	if err := (Config{Nodes: 3, Stages: -1}).Validate(); !errors.As(err, &badNodes) {
 		t.Errorf("3 nodes, -1 stages: got %v, want an InvalidNodeCountError", err)
+	}
+}
+
+// TestConfigValidateFault: a malformed fault plan is an error from
+// Validate, not a panic from New.
+func TestConfigValidateFault(t *testing.T) {
+	if err := (Config{Nodes: 8, Fault: faults.Spec{Drop: 2}}).Validate(); err == nil {
+		t.Fatal("drop rate 2 passed Validate")
+	}
+	if err := (Config{Nodes: 8, Fault: faults.Spec{Drop: 0.02}}).Validate(); err != nil {
+		t.Fatalf("drop rate 0.02: %v", err)
 	}
 }
 

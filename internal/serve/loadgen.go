@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cenju4/internal/runner"
+	"cenju4/internal/spec"
 )
 
 // LoadOptions configures a closed-loop load run against a serve
@@ -42,7 +43,7 @@ type LoadOptions struct {
 	Seed uint64
 	// Spec is the base workload every generated spec varies from;
 	// zero value means a small cg/dsm2 run.
-	Spec Spec
+	Spec spec.Spec
 	// SharedSpecs is how many distinct "popular" specs the duplicate
 	// traffic draws from (default 4).
 	SharedSpecs int
@@ -80,7 +81,7 @@ func (o LoadOptions) withDefaults() LoadOptions {
 		o.RetryBackoff = 25 * time.Millisecond
 	}
 	if o.Spec.App == "" {
-		o.Spec = Spec{App: "cg", Variant: "dsm2", Nodes: 8, Iterations: 1, Scale: 0.02}
+		o.Spec = spec.Spec{App: "cg", Variant: "dsm2", Nodes: 8, Iterations: 1, Scale: 0.02}
 	}
 	if o.Client == nil {
 		tr := &http.Transport{
@@ -163,7 +164,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 	// Popular specs: the duplicate share of the traffic draws from
 	// these, so at DupRatio 0.9 each is requested many times and all but
 	// the first are hits or coalesced.
-	shared := make([]Spec, opts.SharedSpecs)
+	shared := make([]spec.Spec, opts.SharedSpecs)
 	for i := range shared {
 		s := opts.Spec
 		s.Seed = int64(i + 1)
@@ -202,14 +203,14 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 				if ctx.Err() != nil {
 					return
 				}
-				spec := shared[lc.rng.Intn(len(shared))]
+				s := shared[lc.rng.Intn(len(shared))]
 				if lc.rng.Float64() >= opts.DupRatio {
 					// Unique spec: the seed field is part of the digest but
 					// not the simulation, so distinct seeds are cache-cold
 					// without costing distinct workloads.
-					spec.Seed = int64(1000 + c*1_000_000 + i)
+					s.Seed = int64(1000 + c*1_000_000 + i)
 				}
-				lc.post(ctx, opts, spec)
+				lc.post(ctx, opts, s)
 			}
 		}(c, lc, perClient)
 	}
@@ -296,8 +297,8 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 
 // post issues one job submission, retrying shed responses up to
 // MaxRetries times, and tallies the final outcome.
-func (lc *loadClient) post(ctx context.Context, opts LoadOptions, spec Spec) {
-	payload, err := json.Marshal(spec)
+func (lc *loadClient) post(ctx context.Context, opts LoadOptions, s spec.Spec) {
+	payload, err := json.Marshal(s)
 	if err != nil {
 		lc.report.Errors++
 		return

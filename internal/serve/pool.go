@@ -10,6 +10,7 @@ import (
 
 	"cenju4/internal/metrics"
 	"cenju4/internal/runner"
+	"cenju4/internal/spec"
 )
 
 // Admission and lifecycle errors. The HTTP layer maps ErrQueueFull to
@@ -27,7 +28,7 @@ var (
 // (Execute threads it into the simulation loop via machine.RunContext).
 // The returned registry holds the run's simulation metrics (may be
 // nil).
-type Exec func(ctx context.Context, digest string, spec Spec) (*Entry, *metrics.Registry, error)
+type Exec func(ctx context.Context, digest string, s spec.Spec) (*Entry, *metrics.Registry, error)
 
 // PoolConfig configures a Pool.
 type PoolConfig struct {
@@ -55,7 +56,7 @@ type PoolConfig struct {
 // fills entry/err and closes done exactly once.
 type Job struct {
 	Digest string
-	Spec   Spec
+	Spec   spec.Spec
 
 	done  chan struct{}
 	entry *Entry
@@ -155,7 +156,7 @@ func NewPool(cfg PoolConfig) *Pool {
 // It returns the job to wait on and whether this submission coalesced
 // onto an already in-flight duplicate. It fails fast with ErrQueueFull
 // when the admission queue is full and ErrShuttingDown after Close.
-func (p *Pool) Submit(digest string, spec Spec) (j *Job, coalesced bool, err error) {
+func (p *Pool) Submit(digest string, s spec.Spec) (j *Job, coalesced bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -165,7 +166,7 @@ func (p *Pool) Submit(digest string, spec Spec) (j *Job, coalesced bool, err err
 		p.coalesced.Add(1)
 		return j, true, nil
 	}
-	j = &Job{Digest: digest, Spec: spec, done: make(chan struct{})}
+	j = &Job{Digest: digest, Spec: s, done: make(chan struct{})}
 	select {
 	case p.queue <- j:
 		p.inflight[digest] = j

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cenju4/internal/metrics"
+	"cenju4/internal/spec"
 )
 
 // stubExec returns an Exec that renders a tiny entry after an optional
@@ -20,7 +21,7 @@ type stubExec struct {
 	delay time.Duration
 }
 
-func (s *stubExec) exec(ctx context.Context, dig string, spec Spec) (*Entry, *metrics.Registry, error) {
+func (s *stubExec) exec(ctx context.Context, dig string, _ spec.Spec) (*Entry, *metrics.Registry, error) {
 	s.runs.Add(1)
 	if s.gate != nil {
 		select {
@@ -43,7 +44,7 @@ func TestPoolRunsJob(t *testing.T) {
 	st := &stubExec{}
 	p := NewPool(PoolConfig{Workers: 2, QueueDepth: 8, Exec: st.exec})
 	defer p.Close(context.Background())
-	j, coalesced, err := p.Submit("d1", Spec{})
+	j, coalesced, err := p.Submit("d1", spec.Spec{})
 	if err != nil || coalesced {
 		t.Fatalf("Submit = (%v, %v)", coalesced, err)
 	}
@@ -63,7 +64,7 @@ func TestPoolCoalesces(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 2, QueueDepth: 8, Exec: st.exec})
 	defer p.Close(context.Background())
 
-	first, coalesced, err := p.Submit("dup", Spec{})
+	first, coalesced, err := p.Submit("dup", spec.Spec{})
 	if err != nil || coalesced {
 		t.Fatalf("first Submit = (%v, %v)", coalesced, err)
 	}
@@ -75,7 +76,7 @@ func TestPoolCoalesces(t *testing.T) {
 	var wg sync.WaitGroup
 	entries := make([]*Entry, 10)
 	for i := range entries {
-		j, coalesced, err := p.Submit("dup", Spec{})
+		j, coalesced, err := p.Submit("dup", spec.Spec{})
 		if err != nil || !coalesced {
 			t.Fatalf("duplicate Submit %d = (%v, %v), want coalesced", i, coalesced, err)
 		}
@@ -119,7 +120,7 @@ func TestPoolQueueFull(t *testing.T) {
 	var admitted int
 	var rejected int
 	for i := 0; i < 8; i++ {
-		_, _, err := p.Submit(fmt.Sprintf("d%d", i), Spec{})
+		_, _, err := p.Submit(fmt.Sprintf("d%d", i), spec.Spec{})
 		switch {
 		case err == nil:
 			admitted++
@@ -144,7 +145,7 @@ func TestPoolGracefulClose(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 2, QueueDepth: 16, Exec: st.exec})
 	var jobs []*Job
 	for i := 0; i < 8; i++ {
-		j, _, err := p.Submit(fmt.Sprintf("d%d", i), Spec{})
+		j, _, err := p.Submit(fmt.Sprintf("d%d", i), spec.Spec{})
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
@@ -158,7 +159,7 @@ func TestPoolGracefulClose(t *testing.T) {
 			t.Fatalf("job %d not drained: %v", i, err)
 		}
 	}
-	if _, _, err := p.Submit("late", Spec{}); !errors.Is(err, ErrShuttingDown) {
+	if _, _, err := p.Submit("late", spec.Spec{}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-Close Submit = %v, want ErrShuttingDown", err)
 	}
 	if st.runs.Load() != 8 {
@@ -172,7 +173,7 @@ func TestPoolGracefulClose(t *testing.T) {
 func TestPoolForcedClose(t *testing.T) {
 	st := &stubExec{gate: make(chan struct{})} // never closed: jobs hang
 	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 8, Exec: st.exec})
-	j, _, err := p.Submit("stuck", Spec{})
+	j, _, err := p.Submit("stuck", spec.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestPoolJobTimeout(t *testing.T) {
 	slow := &stubExec{gate: make(chan struct{})} // blocks forever
 	p := NewPool(PoolConfig{Workers: 2, QueueDepth: 8, JobTimeout: 30 * time.Millisecond, Exec: slow.exec})
 	defer p.Close(context.Background())
-	j, _, err := p.Submit("slow", Spec{})
+	j, _, err := p.Submit("slow", spec.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

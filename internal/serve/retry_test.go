@@ -14,6 +14,7 @@ import (
 
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
+	"cenju4/internal/spec"
 )
 
 // TestRetryDelay pins the backoff policy: exponential from the base,
@@ -147,8 +148,8 @@ func TestLoadRetriesShedResponses(t *testing.T) {
 // map to distinct statuses and X-Cenju4-Abort values, so a chaos
 // client can tell a wedged protocol from an undersized budget.
 func TestJobAbortClassification(t *testing.T) {
-	exec := func(ctx context.Context, dig string, spec Spec) (*Entry, *metrics.Registry, error) {
-		switch spec.Seed {
+	exec := func(ctx context.Context, dig string, s spec.Spec) (*Entry, *metrics.Registry, error) {
+		switch s.Seed {
 		case 1:
 			return nil, nil, &machine.DeadlockError{Unfinished: 3, Diagnosis: "node 0: mshr[0] wedged"}
 		case 2:

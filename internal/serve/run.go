@@ -8,7 +8,7 @@ import (
 
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
-	"cenju4/internal/npb"
+	"cenju4/internal/spec"
 	"cenju4/internal/trace"
 )
 
@@ -37,91 +37,51 @@ type Summary struct {
 // and processes — the property the cache and the soak test rely on.
 type Payload struct {
 	Digest  string          `json:"digest"`
-	Spec    Spec            `json:"spec"`
+	Spec    spec.Spec       `json:"spec"`
 	Result  Summary         `json:"result"`
 	Metrics json.RawMessage `json:"metrics"`
 }
 
-// Execute runs one validated, normalized spec to completion and
-// renders its cache entry. It honours ctx (wall-clock timeout,
-// shutdown) and maxEvents (per-job event budget) via
-// machine.RunContext, and validates machine-wide coherence before
-// trusting the result.
-func Execute(ctx context.Context, dig string, spec Spec, maxEvents uint64) (*Entry, *metrics.Registry, error) {
-	app, err := npb.ParseApp(spec.App)
-	if err != nil {
-		return nil, nil, err
-	}
-	variant, err := npb.ParseVariant(spec.Variant)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := npb.Build(npb.Options{
-		App:            app,
-		Variant:        variant,
-		Nodes:          spec.Nodes,
-		DataMapping:    !spec.NoMapping,
-		Iterations:     spec.Iterations,
-		Scale:          spec.Scale,
-		UpdateProtocol: spec.UpdateProtocol,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	m := machine.New(machine.Config{
-		Nodes:      spec.Nodes,
-		Stages:     spec.Stages,
-		Multicast:  !spec.NoMulticast,
-		Mode:       spec.mode(),
-		UpdateMode: w.UpdateMode,
-		Fault:      spec.fault(),
-	})
+// Execute runs one validated, normalized spec to completion through
+// spec.Run and renders its cache entry. It honours ctx (wall-clock
+// timeout, shutdown) and maxEvents (per-job event budget).
+func Execute(ctx context.Context, dig string, s spec.Spec, maxEvents uint64) (*Entry, *metrics.Registry, error) {
 	var col *trace.Collector
-	if spec.TraceMax > 0 {
-		col = trace.NewCollector(spec.TraceMax)
-		m.SetTracer(col.Tracer())
+	if s.TraceMax > 0 {
+		col = trace.NewCollector(s.TraceMax)
 	}
-	r, err := m.RunContext(ctx, w.Progs, maxEvents)
+	out, err := s.Run(ctx, col, maxEvents)
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("serve: coherence violated by %s/%s: %w", spec.App, spec.Variant, err)
 	}
 
 	reg := metrics.New()
-	reg.Gauge("run/seed").Peak(spec.Seed)
-	m.MetricsInto(reg)
+	reg.Gauge("run/seed").Peak(s.Seed)
+	out.Machine.MetricsInto(reg)
 	var regJSON bytes.Buffer
 	if err := reg.WriteJSON(&regJSON); err != nil {
 		return nil, nil, err
 	}
 
+	r := out.Result
 	tot := r.Totals()
-	misses := float64(tot.Misses)
-	if misses == 0 {
-		misses = 1
-	}
-	syncFrac := 0.0
-	if r.Time > 0 {
-		syncFrac = float64(tot.SyncTime) / (float64(r.Time) * float64(spec.Nodes))
-	}
+	private, local, remote := spec.MissShares(tot)
 	sum := Summary{
 		TimeNs:           r.Time.Nanoseconds(),
 		Events:           r.Events,
 		Instructions:     tot.Instructions,
 		MemAccesses:      tot.MemAccesses,
 		MissRatio:        tot.MissRatio(),
-		PrivateMissShare: float64(tot.PrivateMisses) / misses,
-		LocalMissShare:   float64(tot.LocalMisses) / misses,
-		RemoteMissShare:  float64(tot.RemoteMisses) / misses,
-		SyncFraction:     syncFrac,
-		RewriteRatio:     w.Meta.RewriteRatio,
+		PrivateMissShare: private,
+		LocalMissShare:   local,
+		RemoteMissShare:  remote,
+		SyncFraction:     spec.SyncFraction(r),
+		RewriteRatio:     out.Meta.RewriteRatio,
 		ResultDigest:     machine.Digest(r),
 	}
 	body, err := json.MarshalIndent(Payload{
 		Digest:  dig,
-		Spec:    spec,
+		Spec:    s,
 		Result:  sum,
 		Metrics: json.RawMessage(bytes.TrimSpace(regJSON.Bytes())),
 	}, "", "  ")
@@ -133,7 +93,7 @@ func Execute(ctx context.Context, dig string, spec Spec, maxEvents uint64) (*Ent
 	e := &Entry{Digest: dig, Body: body}
 	if col != nil {
 		var tr bytes.Buffer
-		label := fmt.Sprintf("%s/%s nodes=%d seed=%d", spec.App, spec.Variant, spec.Nodes, spec.Seed)
+		label := fmt.Sprintf("%s/%s nodes=%d seed=%d", s.App, s.Variant, s.Nodes, s.Seed)
 		if _, err := trace.WriteChrome(&tr, col.Stream(label)); err != nil {
 			return nil, nil, err
 		}

@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"cenju4/internal/machine"
+	"cenju4/internal/spec"
 )
 
-func runSpec(t *testing.T) Spec {
+func runSpec(t *testing.T) spec.Spec {
 	t.Helper()
-	s := Spec{App: "cg", Variant: "dsm2", Nodes: 8, Iterations: 1, Scale: 0.02, Seed: 7}.Normalize()
+	s := spec.Spec{App: "cg", Variant: "dsm2", Nodes: 8, Iterations: 1, Scale: 0.02, Seed: 7}.Normalize()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -22,13 +23,13 @@ func runSpec(t *testing.T) Spec {
 // TestExecuteDeterministic: the same spec executed twice renders
 // byte-identical payloads — the property that makes digests cache keys.
 func TestExecuteDeterministic(t *testing.T) {
-	spec := runSpec(t)
-	dig := spec.Digest()
-	a, _, err := Execute(context.Background(), dig, spec, 0)
+	s := runSpec(t)
+	dig := s.Digest()
+	a, _, err := Execute(context.Background(), dig, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Execute(context.Background(), dig, spec, 0)
+	b, _, err := Execute(context.Background(), dig, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +102,8 @@ func TestExecuteTrace(t *testing.T) {
 // TestExecuteEventBudget: a tiny event budget aborts the run with
 // machine.ErrEventBudget rather than returning a partial result.
 func TestExecuteEventBudget(t *testing.T) {
-	spec := runSpec(t)
-	e, _, err := Execute(context.Background(), spec.Digest(), spec, 100)
+	s := runSpec(t)
+	e, _, err := Execute(context.Background(), s.Digest(), s, 100)
 	if !errors.Is(err, machine.ErrEventBudget) {
 		t.Fatalf("err = %v, want ErrEventBudget", err)
 	}
@@ -115,8 +116,8 @@ func TestExecuteEventBudget(t *testing.T) {
 func TestExecuteCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	spec := runSpec(t)
-	if _, _, err := Execute(ctx, spec.Digest(), spec, 0); !errors.Is(err, context.Canceled) {
+	s := runSpec(t)
+	if _, _, err := Execute(ctx, s.Digest(), s, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -126,18 +127,18 @@ func TestExecuteCancelled(t *testing.T) {
 // losses), its payload is deterministic, and the injector's ledger
 // shows up in the embedded metrics.
 func TestExecuteRecoverableFault(t *testing.T) {
-	spec := runSpec(t)
-	spec.Fault = "light-loss"
-	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	s := runSpec(t)
+	s.Fault = "light-loss"
+	s = s.Normalize()
+	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	dig := spec.Digest()
-	a, _, err := Execute(context.Background(), dig, spec, 0)
+	dig := s.Digest()
+	a, _, err := Execute(context.Background(), dig, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Execute(context.Background(), dig, spec, 0)
+	b, _, err := Execute(context.Background(), dig, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +171,17 @@ func TestExecuteRecoverableFault(t *testing.T) {
 // partial payload — which the HTTP layer classifies as a watchdog
 // abort (TestJobAbortClassification).
 func TestExecuteUnrecoverableFaultTripsWatchdog(t *testing.T) {
-	spec := runSpec(t)
+	s := runSpec(t)
 	// Unmapped shared data keeps dirty blocks remote from their homes,
 	// so the workload genuinely depends on the forward leg this plan
 	// severs; the mapped variant never needs one.
-	spec.NoMapping = true
-	spec.Fault = "drop=1,scope=forwards,timeout=20000,retries=2"
-	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	s.NoMapping = true
+	s.Fault = "drop=1,scope=forwards,timeout=20000,retries=2"
+	s = s.Normalize()
+	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := Execute(context.Background(), spec.Digest(), spec, 0)
+	e, _, err := Execute(context.Background(), s.Digest(), s, 0)
 	if !errors.Is(err, machine.ErrDeadlock) {
 		t.Fatalf("err = %v, want machine.ErrDeadlock", err)
 	}
@@ -198,14 +199,14 @@ func TestExecuteUnrecoverableFaultTripsWatchdog(t *testing.T) {
 // trace endpoint serves the Chrome payload.
 func TestServerRealExecutor(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-	spec := `{"app":"cg","variant":"dsm2","nodes":8,"iterations":1,"scale":0.02,"trace_max":2048}`
+	body := `{"app":"cg","variant":"dsm2","nodes":8,"iterations":1,"scale":0.02,"trace_max":2048}`
 
-	first := postSpec(t, ts, spec)
+	first := postSpec(t, ts, body)
 	firstBody := readAll(t, first)
 	if first.StatusCode != 200 {
 		t.Fatalf("POST: %d %s", first.StatusCode, firstBody)
 	}
-	second := postSpec(t, ts, spec)
+	second := postSpec(t, ts, body)
 	secondBody := readAll(t, second)
 	if second.Header.Get(HeaderCache) != CacheHit {
 		t.Fatalf("repeat disposition %q", second.Header.Get(HeaderCache))

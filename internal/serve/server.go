@@ -1,3 +1,32 @@
+// Package serve turns the deterministic simulator into a long-running
+// experiment service: an HTTP/JSON job API over a content-addressed
+// result cache and a batching execution pool.
+//
+// The layering is digest → cache → pool → runner:
+//
+//   - a spec.Spec canonically names one experiment (machine
+//     configuration + workload selector + seed) and hashes to a stable
+//     content digest (internal/digest);
+//   - because PRs 3–4 made every run byte-identical for a given spec,
+//     the digest is a perfect cache key: the bounded LRU Cache maps
+//     digests to rendered result payloads, so a repeated spec costs a
+//     map lookup instead of a simulation;
+//   - the Pool batches cache misses through runner.Map with admission
+//     control (bounded queue, queue-full rejection), per-job limits
+//     (node ceiling, event budget, wall-clock timeout threaded into
+//     the sim loop via machine.RunContext), duplicate-submission
+//     coalescing (concurrent identical specs share one run), and
+//     graceful draining shutdown;
+//   - the Server exposes it all as HTTP: POST /v1/jobs, GET
+//     /v1/jobs/{digest}, GET /v1/jobs/{digest}/trace, GET /v1/metrics,
+//     GET /healthz.
+//
+// Unlike every package under the simulation lint scope, serve is
+// wall-clock-legitimate: request latencies, timeouts and eviction
+// order are service concerns, not simulation outcomes. Determinism is
+// preserved where it matters — the cached payload bytes for a digest
+// are identical no matter which worker, batch or process produced
+// them, and cenju4-load asserts that contract under load.
 package serve
 
 import (
@@ -12,7 +41,33 @@ import (
 
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
+	"cenju4/internal/spec"
+	"cenju4/internal/topology"
 )
+
+// Limits are the service's per-job resource ceilings, enforced at
+// admission (MaxNodes) and inside the run (MaxEvents as an event
+// budget, Pool.JobTimeout as a wall-clock deadline).
+type Limits struct {
+	// MaxNodes caps the machine size a job may request (0 = the
+	// topology maximum).
+	MaxNodes int
+	// MaxEvents caps the number of simulation events a job may fire
+	// (0 = unlimited).
+	MaxEvents uint64
+}
+
+// Check reports whether a validated spec fits the limits.
+func (l Limits) Check(s spec.Spec) error {
+	maxNodes := l.MaxNodes
+	if maxNodes <= 0 {
+		maxNodes = topology.MaxNodes
+	}
+	if s.Nodes > maxNodes {
+		return fmt.Errorf("serve: over limit: %d nodes exceeds the service ceiling of %d", s.Nodes, maxNodes)
+	}
+	return nil
+}
 
 // Cache-disposition values reported in the X-Cenju4-Cache response
 // header; the load generator keys its hit-rate accounting on them.
@@ -92,8 +147,8 @@ func New(cfg Config) *Server {
 	}
 	exec := cfg.Exec
 	if exec == nil {
-		exec = func(ctx context.Context, dig string, spec Spec) (*Entry, *metrics.Registry, error) {
-			return Execute(ctx, dig, spec, cfg.Limits.MaxEvents)
+		exec = func(ctx context.Context, dig string, s spec.Spec) (*Entry, *metrics.Registry, error) {
+			return Execute(ctx, dig, s, cfg.Limits.MaxEvents)
 		}
 	}
 	s.pool = NewPool(PoolConfig{
@@ -162,28 +217,28 @@ func writeEntry(w http.ResponseWriter, e *Entry, disposition string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
+	var js spec.Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(&js); err != nil {
 		errorBody(w, http.StatusBadRequest, "malformed spec: %v", err)
 		return
 	}
-	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	js = js.Normalize()
+	if err := js.Validate(); err != nil {
 		errorBody(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := s.cfg.Limits.Check(spec); err != nil {
+	if err := s.cfg.Limits.Check(js); err != nil {
 		errorBody(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	dig := spec.Digest()
+	dig := js.Digest()
 	if e, ok := s.cache.Get(dig); ok {
 		writeEntry(w, e, CacheHit)
 		return
 	}
-	job, coalesced, err := s.pool.Submit(dig, spec)
+	job, coalesced, err := s.pool.Submit(dig, js)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
