@@ -102,18 +102,7 @@ func (m *Machine) Store(node, home int, offset uint64) time.Duration {
 
 func (m *Machine) access(node, home int, offset uint64, store bool) time.Duration {
 	addr := topology.SharedAddr(topology.NodeID(home), offset)
-	ctrl := m.m.Controller(topology.NodeID(node))
-	eng := m.m.Engine()
-	// Hits complete without a transaction.
-	if _, hit := ctrl.Cache().Access(addr, store); hit {
-		ctrl.NoteAccessHit(addr, store)
-		return 0
-	}
-	start := eng.Now()
-	var end = start
-	ctrl.Request(addr, store, func() { end = eng.Now() })
-	eng.Run()
-	return time.Duration(end - start)
+	return time.Duration(m.m.Access(topology.NodeID(node), addr, store))
 }
 
 // CacheState returns node's MESI state for the block at (home, offset):
@@ -353,9 +342,14 @@ func (m *Machine) Validate() error { return m.m.Validate() }
 // pattern against every protocol configuration cell) with the
 // consistency oracle attached, and returns an error describing the
 // first failure, if any. It is a cheap machine-health check; the full
-// harness lives in internal/fuzz and cmd/cenju4-fuzz.
+// harness lives in internal/fuzz and cmd/cenju4-fuzz. An invalid op
+// count is reported as an error before anything runs.
 func FuzzSmoke(seed uint64, ops int) error {
-	rep := fuzz.Run(fuzz.Options{Seed: seed, Ops: ops})
+	opts := fuzz.Options{Seed: seed, Ops: ops}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	rep := fuzz.Run(opts)
 	if rep.Failed() {
 		return fmt.Errorf("fuzz smoke (seed %d):\n%s", seed, rep.String())
 	}

@@ -112,6 +112,12 @@ func TestRunNPBErrors(t *testing.T) {
 	}
 }
 
+func TestFuzzSmokeRejectsBadOptions(t *testing.T) {
+	if err := FuzzSmoke(1, -1); err == nil {
+		t.Fatal("FuzzSmoke(1, -1) returned nil, want the negative op count refused")
+	}
+}
+
 func TestRunNPBUpdateProtocol(t *testing.T) {
 	base, err := RunNPB("cg", "dsm2", WorkloadOptions{Nodes: 16, Iterations: 2, Scale: 0.05})
 	if err != nil {

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -46,7 +47,6 @@ import (
 	"cenju4/internal/fuzz"
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
-	"cenju4/internal/topology"
 )
 
 // prof is package-level so the failure exits in replayCase can flush it.
@@ -126,13 +126,16 @@ func main() {
 	if opts.Cells, err = cells(*mode, *multicast, *update, *stages); err != nil {
 		log.Fatal(err)
 	}
-	if !topology.ValidNodeCount(*nodes) {
-		log.Fatalf("-nodes: %d is not a power of two <= %d", *nodes, topology.MaxNodes)
-	}
-	for _, c := range opts.Cells {
-		if err := (machine.Config{Nodes: *nodes, Stages: c.Stages}).Validate(); err != nil {
+	if err := opts.Validate(); err != nil {
+		var badNodes *machine.InvalidNodeCountError
+		var badStages *machine.InvalidStageCountError
+		switch {
+		case errors.As(err, &badNodes):
+			log.Fatalf("-nodes: %v", err)
+		case errors.As(err, &badStages):
 			log.Fatalf("-stages: %v", err)
 		}
+		log.Fatal(err)
 	}
 
 	if *chaos {

@@ -76,12 +76,8 @@ type Fabric interface {
 type Config struct {
 	Node  topology.NodeID
 	Nodes int
-	// Params supplies latency constants; zero value means timing.Default().
-	Params timing.Params
 	// Mode selects queuing (default) or nack protocol.
 	Mode Mode
-	// NackDelay is the master's retry backoff in ModeNack.
-	NackDelay sim.Time
 	// Cache overrides the cache geometry (default 1 MB, 2-way).
 	Cache cache.Config
 	// ModuleBufEntries is the on-chip buffer depth of the slave and home
@@ -132,12 +128,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Params == (timing.Params{}) {
-		c.Params = timing.Default()
-	}
-	if c.NackDelay == 0 {
-		c.NackDelay = 1000
-	}
 	if c.ModuleBufEntries == 0 {
 		c.ModuleBufEntries = 4
 	}
@@ -199,9 +189,10 @@ type Stats struct {
 
 // Controller is one node's coherence engine (master + home + slave).
 type Controller struct {
-	cfg Config
-	eng *sim.Engine
-	fab Fabric
+	cfg    Config
+	params timing.Params
+	eng    *sim.Engine
+	fab    Fabric
 
 	cache *cache.Cache
 	mem   *memory.Memory
@@ -247,6 +238,7 @@ func New(eng *sim.Engine, fab Fabric, cfg Config) *Controller {
 func (c *Controller) Init(eng *sim.Engine, fab Fabric, cfg Config) {
 	cfg = cfg.withDefaults()
 	c.cfg = cfg
+	c.params = timing.Default()
 	c.eng = eng
 	c.fab = fab
 	c.cache = cache.New(cfg.Cache)

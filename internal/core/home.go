@@ -107,7 +107,7 @@ func (h *homeModule) handle(m *msg.Message) {
 		elapsed = h.busy - now // wait for the service in progress
 	}
 	if !c.isLocal(m) {
-		elapsed += c.cfg.Params.HomeProc
+		elapsed += c.params.HomeProc
 	}
 	switch m.Kind {
 	case msg.ReadShared, msg.ReadExclusive, msg.Ownership, msg.UpdateWrite:
@@ -130,7 +130,7 @@ func (h *homeModule) handle(m *msg.Message) {
 // full service time). It returns the additional processing cost.
 func (h *homeModule) processRequest(kind msg.Kind, master topology.NodeID, addr topology.Addr, val uint64, seq uint32, sofar sim.Time) sim.Time {
 	c := h.c
-	p := c.cfg.Params
+	p := c.params
 	e := c.mem.Entry(addr)
 	cost := p.DirAccess
 
@@ -161,7 +161,7 @@ func (h *homeModule) processRequest(kind msg.Kind, master topology.NodeID, addr 
 // block, per the appendix. It may leave the block pending.
 func (h *homeModule) processStable(kind msg.Kind, master topology.NodeID, addr topology.Addr, val uint64, seq uint32, e *directory.Entry, sofar sim.Time) sim.Time {
 	c := h.c
-	p := c.cfg.Params
+	p := c.params
 	switch kind {
 	case msg.UpdateWrite:
 		// Update-protocol extension: write memory, then multicast the
@@ -346,7 +346,7 @@ func (h *homeModule) memVal(addr topology.Addr) uint64 {
 // buffers).
 func (h *homeModule) processWriteBack(m *msg.Message) sim.Time {
 	c := h.c
-	p := c.cfg.Params
+	p := c.params
 	e := c.mem.Entry(m.Addr)
 	if e.State() == directory.Dirty {
 		e.SetState(directory.Clean)
@@ -364,7 +364,7 @@ func (h *homeModule) processWriteBack(m *msg.Message) sim.Time {
 // processSlaveReply finishes a forwarded transaction.
 func (h *homeModule) processSlaveReply(m *msg.Message, sofar sim.Time) sim.Time {
 	c := h.c
-	p := c.cfg.Params
+	p := c.params
 	e := c.mem.Entry(m.Addr)
 	t := h.pending[m.Addr]
 	if t == nil {
@@ -397,7 +397,7 @@ func (h *homeModule) processSlaveReply(m *msg.Message, sofar sim.Time) sim.Time 
 // transaction on the last.
 func (h *homeModule) processInvAck(m *msg.Message, sofar sim.Time) sim.Time {
 	c := h.c
-	p := c.cfg.Params
+	p := c.params
 	e := c.mem.Entry(m.Addr)
 	t := h.pending[m.Addr]
 	if t == nil {
@@ -454,7 +454,7 @@ func (h *homeModule) completeBlock(e *directory.Entry, sofar sim.Time) sim.Time 
 // into the service time.
 func (h *homeModule) drainQueue(sofar sim.Time) sim.Time {
 	c := h.c
-	p := c.cfg.Params
+	p := c.params
 	var added sim.Time
 	for {
 		req, ok := h.queue.Peek()

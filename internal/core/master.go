@@ -51,6 +51,9 @@ type deferredReq struct {
 	done  func()
 }
 
+// nackDelay is the master's retry backoff after a nack (ModeNack).
+const nackDelay sim.Time = 1000
+
 // masterModule issues requests and consumes replies.
 type masterModule struct {
 	c           *Controller
@@ -199,7 +202,7 @@ func (m *masterModule) issue(addr topology.Addr, store bool, done func()) {
 // stores write through to the home.
 func (m *masterModule) issueUpdate(addr topology.Addr, store bool, done func()) {
 	c := m.c
-	p := c.cfg.Params
+	p := c.params
 	if !store {
 		if c.cache.State(addr) != cache.Invalid {
 			if c.vals != nil {
@@ -261,7 +264,7 @@ func (m *masterModule) sendRequest(slot *mshr, kind msg.Kind) {
 		HasData:  kind == msg.UpdateWrite,
 		Val:      slot.tag, // update write-through: the tagged store value
 		Seq:      slot.seq,
-	}), c.cfg.Params.ProcOverhead)
+	}), c.params.ProcOverhead)
 	m.armTimer(slot)
 }
 
@@ -365,7 +368,7 @@ func (m *masterModule) handle(rm *msg.Message) {
 	}
 	var cost sim.Time
 	if !c.isLocal(rm) {
-		cost = c.cfg.Params.MasterProc
+		cost = c.params.MasterProc
 	}
 	switch rm.Kind {
 	case msg.HomeData:
@@ -436,7 +439,7 @@ func (m *masterModule) handle(rm *msg.Message) {
 		c.stats.Retries++
 		slot.settled = true // absorb duplicate nacks until the retry re-sends
 		m.disarmTimer(slot)
-		c.eng.AtCall(c.eng.Now()+cost+c.cfg.NackDelay, masterRetry, slot)
+		c.eng.AtCall(c.eng.Now()+cost+nackDelay, masterRetry, slot)
 		return
 	default:
 		panic(fmt.Sprintf("core: master received %v", rm))

@@ -38,7 +38,7 @@ func (s *slaveModule) init(c *Controller) {
 func (s *slaveModule) handle(m *msg.Message) {
 	c := s.c
 	now := c.eng.Now()
-	p := c.cfg.Params
+	p := c.params
 	var elapsed sim.Time
 	if s.busy > now {
 		elapsed = s.busy - now

@@ -166,7 +166,6 @@ type CPU struct {
 	ctrl    *core.Controller
 	sync    Sync
 	params  timing.Params
-	nsPerIn sim.Time
 	quantum sim.Time
 
 	prog  Program
@@ -197,17 +196,16 @@ type CPU struct {
 // phase per Fill call.
 const opBufLen = 16
 
+// nsPerInstr is the average non-memory instruction cost: a ~200 MHz
+// R10000 sustaining ~1 instruction per cycle.
+const nsPerInstr sim.Time = 5
+
 // Config parameterizes a CPU.
 type Config struct {
 	Node topology.NodeID
-	// NsPerInstr is the average non-memory instruction cost (default 5:
-	// a ~200 MHz R10000 sustaining ~1 instruction per cycle).
-	NsPerInstr sim.Time
 	// Quantum bounds how much local time the processor accumulates
 	// before yielding to the event engine (default 20 us).
 	Quantum sim.Time
-	// Params supplies hit/miss latency constants.
-	Params timing.Params
 }
 
 // New builds a CPU bound to a controller and sync provider.
@@ -220,21 +218,14 @@ func New(eng *sim.Engine, ctrl *core.Controller, sync Sync, cfg Config) *CPU {
 // Init initializes a zero CPU in place (machine.Machine slab-allocates
 // its processors; see core.Controller.Init).
 func (c *CPU) Init(eng *sim.Engine, ctrl *core.Controller, sync Sync, cfg Config) {
-	if cfg.NsPerInstr == 0 {
-		cfg.NsPerInstr = 5
-	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 20000
-	}
-	if cfg.Params == (timing.Params{}) {
-		cfg.Params = timing.Default()
 	}
 	c.node = cfg.Node
 	c.eng = eng
 	c.ctrl = ctrl
 	c.sync = sync
-	c.params = cfg.Params
-	c.nsPerIn = cfg.NsPerInstr
+	c.params = timing.Default()
 	c.quantum = cfg.Quantum
 	c.resumeFn = func() { c.step() }
 }
@@ -282,7 +273,7 @@ func (c *CPU) step() {
 		switch op.Kind {
 		case OpCompute:
 			c.stats.Instructions += op.N
-			acc += sim.Time(op.N) * c.nsPerIn
+			acc += sim.Time(op.N) * nsPerInstr
 
 		case OpLoad, OpStore:
 			var st cache.LineState
@@ -412,7 +403,7 @@ func (c *CPU) run(op *Op, acc sim.Time) (sim.Time, bool) {
 	if every > 0 {
 		since = (int(op.StorePhase) + k) % every
 	}
-	hitCost, compute := c.params.CacheHit, sim.Time(op.N)*c.nsPerIn
+	hitCost, compute := c.params.CacheHit, sim.Time(op.N)*nsPerInstr
 	var mainSt, pairSt cache.LineState // what the call knows; Invalid: look up
 	var mainHits, pairHits, instr uint64
 	var hit, stop bool

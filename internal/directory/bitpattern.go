@@ -13,9 +13,10 @@
 // (pointer form) and for machines of <= 32 nodes (only the 32-bit field
 // varies).
 //
-// The package also implements the schemes of Figure 4 and Table 1 —
-// full map, coarse vector, hierarchical bit-map — behind a common
-// NodeMap interface, plus Monte-Carlo precision evaluation.
+// The package also implements the other node-map schemes of Figure 4 —
+// coarse vector and hierarchical bit-map — behind a common NodeMap
+// interface, plus Monte-Carlo precision evaluation and Table 1's
+// storage-cost rows.
 package directory
 
 import (

@@ -2,16 +2,14 @@ package directory
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cenju4/internal/topology"
 )
 
-// NodeMap is the common interface over directory node-map schemes,
-// used by the Figure 4 precision comparison and the plug-in directory
-// ablation. Add records a sharer; Count returns the size of the
-// represented set (>= the number of added sharers for imprecise
-// schemes); Members decodes the represented set.
+// NodeMap is the common interface over the imprecise directory
+// node-map schemes the Figure 4 precision comparison measures. Add
+// records a sharer; Count returns the size of the represented set (>=
+// the number of added sharers); Members decodes the represented set.
 type NodeMap interface {
 	Add(n topology.NodeID)
 	Contains(n topology.NodeID) bool
@@ -40,57 +38,6 @@ func Schemes() []Scheme {
 		{Name: "bit-pattern (42b)", New: func(n int) NodeMap { return NewPointerBitPattern(n) }},
 	}
 }
-
-// ---------------------------------------------------------------------
-// Full map (Censier & Feautrier): one bit per node. Precise, but storage
-// grows with machine size — the Table 1 "hardware cost: not scalable"
-// baseline.
-
-// FullMap is a precise one-bit-per-node map.
-type FullMap struct {
-	words []uint64
-	n     int
-}
-
-// NewFullMap returns a full-map directory for totalNodes nodes.
-func NewFullMap(totalNodes int) *FullMap {
-	return &FullMap{words: make([]uint64, (totalNodes+63)/64), n: totalNodes}
-}
-
-func (m *FullMap) Add(n topology.NodeID)           { m.words[n/64] |= 1 << (n % 64) }
-func (m *FullMap) Contains(n topology.NodeID) bool { return m.words[n/64]>>(n%64)&1 == 1 }
-
-// Remove clears one node; full map is the only scheme that supports
-// precise removal (used when replacements notify the home).
-func (m *FullMap) Remove(n topology.NodeID) { m.words[n/64] &^= 1 << (n % 64) }
-
-func (m *FullMap) Count() int {
-	c := 0
-	for _, w := range m.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-func (m *FullMap) Members(dst []topology.NodeID) []topology.NodeID {
-	for wi, w := range m.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			dst = append(dst, topology.NodeID(wi*64+b))
-			w &^= 1 << b
-		}
-	}
-	return dst
-}
-
-func (m *FullMap) Clear() {
-	for i := range m.words {
-		m.words[i] = 0
-	}
-}
-
-func (m *FullMap) Bits() int    { return m.n }
-func (m *FullMap) Name() string { return "full map" }
 
 // ---------------------------------------------------------------------
 // Coarse vector (Gupta et al.): nodes divided into groups; one bit per

@@ -9,7 +9,6 @@ import (
 
 func allSchemes(total int) []NodeMap {
 	return []NodeMap{
-		NewFullMap(total),
 		NewCoarseVector(total, 32),
 		NewHierarchicalBitmap(total, 6),
 		NewPointerBitPattern(total),
@@ -43,24 +42,6 @@ func TestSchemesSupersetInvariant(t *testing.T) {
 				t.Fatalf("%s len(Members)=%d != Count=%d", m.Name(), len(members), m.Count())
 			}
 		}
-	}
-}
-
-func TestFullMapIsPrecise(t *testing.T) {
-	m := NewFullMap(1024)
-	nodes := []topology.NodeID{0, 1, 500, 1023}
-	for _, n := range nodes {
-		m.Add(n)
-	}
-	if m.Count() != len(nodes) {
-		t.Fatalf("Count() = %d, want %d", m.Count(), len(nodes))
-	}
-	m.Remove(500)
-	if m.Contains(500) || m.Count() != 3 {
-		t.Fatal("Remove failed")
-	}
-	if m.Bits() != 1024 {
-		t.Fatalf("Bits() = %d", m.Bits())
 	}
 }
 

@@ -114,17 +114,11 @@ func AblationSinglecastThreshold(cfg Config, nodes int) AblationThresholdResult 
 	points, panics := runner.Map(cfg.parOpts(), len(cells), func(i int) ThresholdPoint {
 		c := cells[i]
 		m := machine.New(machine.Config{Nodes: nodes, Multicast: true, SinglecastThreshold: c.thr})
-		eng := m.Engine()
 		addr := topology.SharedAddr(0, 0)
 		for i := 1; i <= c.k; i++ {
-			m.Controller(topology.NodeID(i)).Request(addr, false, func() {})
-			eng.Run()
+			m.Access(topology.NodeID(i), addr, false)
 		}
-		var end sim.Time
-		start := eng.Now()
-		m.Controller(1).Request(addr, true, func() { end = eng.Now() })
-		eng.Run()
-		return ThresholdPoint{c.thr, c.k, end - start}
+		return ThresholdPoint{c.thr, c.k, m.Access(1, addr, true)}
 	})
 	rethrow(panics)
 	res.Points = points
@@ -188,7 +182,6 @@ func AblationImprecision(cfg Config, nodes int, seed int64) AblationImprecisionR
 		c := cells[i]
 		rng := rand.New(rand.NewSource(int64(runner.DeriveSeed(uint64(seed), i))))
 		m := machine.New(machine.Config{Nodes: nodes, Multicast: true})
-		eng := m.Engine()
 		addr := topology.SharedAddr(0, 0)
 		span := nodes - 1
 		if c.clustered && span > 64 {
@@ -204,19 +197,14 @@ func AblationImprecision(cfg Config, nodes int, seed int64) AblationImprecisionR
 			}
 		}
 		for _, n := range sharers {
-			m.Controller(n).Request(addr, false, func() {})
-			eng.Run()
+			m.Access(n, addr, false)
 		}
-		var end sim.Time
-		start := eng.Now()
-		m.Controller(sharers[0]).Request(addr, true, func() { end = eng.Now() })
-		eng.Run()
-		st := m.Controller(0).Stats()
+		lat := m.Access(sharers[0], addr, true)
 		return ImprecisionPoint{
 			Sharers:   c.k,
 			Clustered: c.clustered,
-			Targets:   int(st.InvTargets),
-			Latency:   end - start,
+			Targets:   int(m.Controller(0).Stats().InvTargets),
+			Latency:   lat,
 		}
 	})
 	rethrow(panics)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cenju4/internal/cpu"
 	"cenju4/internal/machine"
 	"cenju4/internal/npb"
 	"cenju4/internal/runner"
@@ -448,6 +447,3 @@ func (r Table4Result) Render() string {
 	}
 	return "Table 4: characteristics of applications (dsm(2), data mappings; system time not modeled)\n" + t.String()
 }
-
-// Totals re-exports the aggregate CPU stats helper for the CLI.
-func Totals(r machine.Result) cpu.Stats { return r.Totals() }

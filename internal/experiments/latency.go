@@ -10,34 +10,6 @@ import (
 	"cenju4/internal/topology"
 )
 
-// machineParams returns the calibrated hardware constants every probe
-// machine uses.
-func machineParams() timing.Params { return timing.Default() }
-
-// probe runs isolated single-access measurements on an otherwise idle
-// machine, as the paper's latency measurements do.
-type probe struct {
-	m *machine.Machine
-}
-
-func newProbe(nodes int, multicast bool) *probe {
-	return &probe{m: machine.New(machine.Config{Nodes: nodes, Multicast: multicast})}
-}
-
-// access runs one access to completion and returns its latency.
-func (p *probe) access(node topology.NodeID, addr topology.Addr, store bool) sim.Time {
-	eng := p.m.Engine()
-	start := eng.Now()
-	var end sim.Time
-	p.m.Controller(node).Request(addr, store, func() { end = eng.Now() })
-	eng.Run()
-	return end - start
-}
-
-func (p *probe) block(home topology.NodeID) topology.Addr {
-	return topology.SharedAddr(home, 0)
-}
-
 // Table2Row identifies one row of Table 2.
 type Table2Row string
 
@@ -82,32 +54,29 @@ func Table2() Table2Result {
 		Measured: make(map[Table2Row][]sim.Time),
 		Paper:    paperTable2,
 	}
+	// Rows b-e time one load of block 0 of home node 0, each on its own
+	// idle machine; rows d and e first leave the block dirty in node
+	// 1's cache.
+	blk := topology.SharedAddr(0, 0)
+	p := timing.Default()
 	for _, nodes := range res.Nodes {
+		load := func(node topology.NodeID, dirtyAt1 bool) sim.Time {
+			m := machine.New(machine.Config{Nodes: nodes, Multicast: true})
+			if dirtyAt1 {
+				m.Access(1, blk, true)
+			}
+			return m.Access(node, blk, false)
+		}
 		// a) private: served by the node's own memory without the DSM.
-		p := newProbe(nodes, true)
-		params := machineParams()
-		res.Measured[RowPrivate] = append(res.Measured[RowPrivate], params.ProcOverhead+params.MemAccess)
-
+		res.Measured[RowPrivate] = append(res.Measured[RowPrivate], p.ProcOverhead+p.MemAccess)
 		// b) shared local clean: load by the home node, nobody caching.
-		res.Measured[RowLocalClean] = append(res.Measured[RowLocalClean],
-			p.access(0, p.block(0), false))
-
+		res.Measured[RowLocalClean] = append(res.Measured[RowLocalClean], load(0, false))
 		// c) shared remote clean.
-		p = newProbe(nodes, true)
-		res.Measured[RowRemoteClean] = append(res.Measured[RowRemoteClean],
-			p.access(1, p.block(0), false))
-
+		res.Measured[RowRemoteClean] = append(res.Measured[RowRemoteClean], load(1, false))
 		// d) shared local dirty: dirty in node 1's cache, load by home 0.
-		p = newProbe(nodes, true)
-		p.access(1, p.block(0), true)
-		res.Measured[RowLocalDirty] = append(res.Measured[RowLocalDirty],
-			p.access(0, p.block(0), false))
-
+		res.Measured[RowLocalDirty] = append(res.Measured[RowLocalDirty], load(0, true))
 		// e) shared remote dirty: dirty at node 1, load by node 2.
-		p = newProbe(nodes, true)
-		p.access(1, p.block(0), true)
-		res.Measured[RowRemoteDirty] = append(res.Measured[RowRemoteDirty],
-			p.access(2, p.block(0), false))
+		res.Measured[RowRemoteDirty] = append(res.Measured[RowRemoteDirty], load(2, true))
 	}
 	return res
 }
@@ -235,12 +204,12 @@ func dedupeInts(in []int) []int {
 // nodes 1..k, then measures a store by node 1 (an ownership request
 // whose invalidations fan out to the other sharers).
 func storeLatency(nodes int, multicast bool, k int) sim.Time {
-	p := newProbe(nodes, multicast)
-	addr := p.block(0)
+	m := machine.New(machine.Config{Nodes: nodes, Multicast: multicast})
+	addr := topology.SharedAddr(0, 0)
 	for i := 1; i <= k; i++ {
-		p.access(topology.NodeID(i), addr, false)
+		m.Access(topology.NodeID(i), addr, false)
 	}
-	return p.access(1, addr, true)
+	return m.Access(1, addr, true)
 }
 
 // Render prints the curves.

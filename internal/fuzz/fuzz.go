@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -185,6 +186,28 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate reports options Run cannot execute, after filling zero
+// fields with their defaults: a node count or a cell's stage count the
+// machine cannot be built with (machine.Config.Validate's
+// *machine.InvalidNodeCountError and *machine.InvalidStageCountError,
+// or its error for a malformed fault plan), and a negative Ops or
+// Rounds.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	if o.Ops < 0 {
+		return fmt.Errorf("fuzz: negative op count %d", o.Ops)
+	}
+	if o.Rounds < 0 {
+		return fmt.Errorf("fuzz: negative round count %d", o.Rounds)
+	}
+	for _, c := range o.Cells {
+		if err := (machine.Config{Nodes: o.Nodes, Stages: c.Stages, Fault: o.Fault}).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CaseSeed derives the i-th case's seed from the run seed
 // (runner.DeriveSeed's splitmix64 mixing: distinct per-case seeds from
 // one user seed, stable across runs).
@@ -255,8 +278,9 @@ func Run(o Options) *Report {
 	return rep
 }
 
-// RunOps executes one case on the given streams. It never panics:
-// simulator deadlock panics are captured in the result.
+// RunOps executes one case on the given streams. It never panics: a
+// watchdog trip, an exhausted event budget and a simulator panic all
+// end the case with Panic set.
 func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 	res = &Result{Case: c}
 	res.Loads, res.Stores = CountOps(ops)
@@ -312,9 +336,6 @@ func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Panic = fmt.Sprint(r)
-			if _, ok := r.(*machine.DeadlockError); ok {
-				res.Watchdog = true
-			}
 			finish()
 		}
 	}()
@@ -328,7 +349,13 @@ func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 		for n := range progs {
 			progs[n] = &cpu.SliceProgram{Ops: roundSlice(ops[n], r, rounds)}
 		}
-		mr := runMachine(m, progs, c.MaxEvents)
+		mr, err := m.RunContext(context.Background(), progs, c.MaxEvents)
+		if err != nil {
+			res.Panic = err.Error()
+			res.Watchdog = errors.Is(err, machine.ErrDeadlock)
+			finish()
+			return res
+		}
 		res.Quiescents++
 		res.SimTime = mr.Time
 		res.Events = mr.Events
@@ -343,20 +370,6 @@ func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 	}
 	finish()
 	return res
-}
-
-// runMachine runs one round, optionally under an event budget. Budget
-// and watchdog aborts both surface as panics so RunOps's recover path
-// classifies them uniformly (machine.Run already panics on deadlock).
-func runMachine(m *machine.Machine, progs []cpu.Program, maxEvents uint64) machine.Result {
-	if maxEvents == 0 {
-		return m.Run(progs)
-	}
-	r, err := m.RunContext(context.Background(), progs, maxEvents)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // roundSlice returns stream r of rounds equal chunks of ops.

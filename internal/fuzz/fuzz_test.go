@@ -1,11 +1,14 @@
 package fuzz
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"cenju4/internal/core"
 	"cenju4/internal/cpu"
+	"cenju4/internal/faults"
+	"cenju4/internal/machine"
 )
 
 // smokeOptions is the bounded sweep wired into `go test`: the full
@@ -30,6 +33,40 @@ func TestSmoke(t *testing.T) {
 	}
 	if len(rep.Results) != len(AllPatterns())*len(DefaultCells()) {
 		t.Fatalf("ran %d cases, want %d", len(rep.Results), len(AllPatterns())*len(DefaultCells()))
+	}
+}
+
+// TestOptionsValidate: options Run cannot execute are refused before
+// any case runs, with the machine's named errors for node and stage
+// counts. Without the check, Nodes: 3 failed every case with a harness
+// panic and a negative op count ran an empty sweep.
+func TestOptionsValidate(t *testing.T) {
+	var badNodes *machine.InvalidNodeCountError
+	var badStages *machine.InvalidStageCountError
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want any // nil, or a pointer to the error type errors.As must find
+		ok   bool
+	}{
+		{"defaults", Options{}, nil, true},
+		{"1024 nodes at 6 stages", Options{Nodes: 1024, Cells: []Cell{{Stages: 6}}}, nil, true},
+		{"3 nodes", Options{Nodes: 3}, &badNodes, false},
+		{"2048 nodes", Options{Nodes: 2048}, &badNodes, false},
+		{"64 nodes at default stages 2,4,6", Options{Nodes: 64}, &badStages, false},
+		{"7 stages", Options{Cells: []Cell{{Stages: 7}}}, &badStages, false},
+		{"negative ops", Options{Ops: -1}, nil, false},
+		{"negative rounds", Options{Rounds: -1}, nil, false},
+		{"malformed fault plan", Options{Fault: faults.Spec{Drop: 2}}, nil, false},
+	} {
+		err := tc.o.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.want != nil && !errors.As(err, tc.want) {
+			t.Errorf("%s: Validate() = %v (%T), want %T", tc.name, err, err, tc.want)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 
-	"cenju4/internal/cache"
 	"cenju4/internal/core"
 	"cenju4/internal/cpu"
 	"cenju4/internal/faults"
@@ -20,7 +19,6 @@ import (
 	"cenju4/internal/network"
 	"cenju4/internal/sim"
 	"cenju4/internal/stats"
-	"cenju4/internal/timing"
 	"cenju4/internal/topology"
 )
 
@@ -35,13 +33,8 @@ type Config struct {
 	Multicast bool
 	// Mode selects the coherence protocol (queuing or nack).
 	Mode core.Mode
-	// Params supplies hardware latency constants.
-	Params timing.Params
-	// MPI supplies message-passing constants.
-	MPI timing.MPIParams
-	// Cache overrides cache geometry.
-	Cache cache.Config
-	// CPU overrides processor constants (Node is filled per node).
+	// CPU sets the processors' scheduling quantum (Node is filled per
+	// node). Latency constants come from timing.Default in every layer.
 	CPU cpu.Config
 	// SinglecastThreshold forwards to core.Config.
 	SinglecastThreshold int
@@ -63,16 +56,6 @@ type Config struct {
 	// retransmits) that repairs the injected damage. The zero value is
 	// fault-free and leaves every hot path untouched.
 	Fault faults.Spec
-}
-
-func (c Config) withDefaults() Config {
-	if c.Params == (timing.Params{}) {
-		c.Params = timing.Default()
-	}
-	if c.MPI == (timing.MPIParams{}) {
-		c.MPI = timing.DefaultMPI()
-	}
-	return c
 }
 
 // InvalidNodeCountError reports a machine size that is not a power of
@@ -130,7 +113,6 @@ type Machine struct {
 
 // New builds a machine.
 func New(cfg Config) *Machine {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -145,11 +127,10 @@ func New(cfg Config) *Machine {
 		Nodes:     cfg.Nodes,
 		Stages:    cfg.Stages,
 		Multicast: cfg.Multicast,
-		Params:    cfg.Params,
 		Pool:      pool,
 		Injector:  fs.Compile(cfg.Nodes),
 	})
-	m.world = mpi.New(m.eng, cfg.Nodes, cfg.MPI)
+	m.world = mpi.New(m.eng, cfg.Nodes)
 	m.ctrls = make([]*core.Controller, cfg.Nodes)
 	m.cpus = make([]*cpu.CPU, cfg.Nodes)
 	// Contiguous slabs instead of per-node heap records: two allocations
@@ -163,9 +144,7 @@ func New(cfg Config) *Machine {
 		m.ctrls[i].Init(m.eng, m.net, core.Config{
 			Node:                node,
 			Nodes:               cfg.Nodes,
-			Params:              cfg.Params,
 			Mode:                cfg.Mode,
-			Cache:               cfg.Cache,
 			SinglecastThreshold: cfg.SinglecastThreshold,
 			UpdateMode:          cfg.UpdateMode,
 			Faults:              cfg.Faults,
@@ -178,7 +157,6 @@ func New(cfg Config) *Machine {
 		m.net.Attach(node, m.ctrls[i].Deliver)
 		cpuCfg := cfg.CPU
 		cpuCfg.Node = node
-		cpuCfg.Params = cfg.Params
 		m.cpus[i] = &cpuSlab[i]
 		m.cpus[i].Init(m.eng, m.ctrls[i], m.world, cpuCfg)
 	}
@@ -352,17 +330,35 @@ func allDone(done []bool) bool {
 }
 
 // Run executes one program per node to completion and returns the
-// aggregated result. len(progs) must equal the node count. Quiescence
-// with unfinished programs panics with a *DeadlockError carrying the
-// watchdog's stuck-state diagnosis; callers that want it as a value
-// use RunContext.
+// aggregated result. len(progs) must equal the node count. It is
+// RunContext without a deadline or budget: quiescence with unfinished
+// programs panics with the *DeadlockError carrying the watchdog's
+// stuck-state diagnosis; callers that want it as a value use
+// RunContext.
 func (m *Machine) Run(progs []cpu.Program) Result {
-	done := m.launch(progs)
-	m.eng.Run()
-	if !allDone(done) {
-		panic(m.deadlock(done))
+	r, err := m.RunContext(context.Background(), progs, 0)
+	if err != nil {
+		panic(err)
 	}
-	return m.Snapshot()
+	return r
+}
+
+// Access issues one load or store by node to addr on the idle machine,
+// runs the simulation until it is idle again, and returns the access
+// latency. A cache hit completes without a transaction and returns 0.
+// This is how the paper's latency measurements (Table 2, Figure 10)
+// time an access.
+func (m *Machine) Access(node topology.NodeID, addr topology.Addr, store bool) sim.Time {
+	ctrl := m.ctrls[node]
+	if _, hit := ctrl.Cache().Access(addr, store); hit {
+		ctrl.NoteAccessHit(addr, store)
+		return 0
+	}
+	start := m.eng.Now()
+	end := start
+	ctrl.Request(addr, store, func() { end = m.eng.Now() })
+	m.eng.Run()
+	return end - start
 }
 
 // ErrEventBudget is returned by RunContext when a run fires more
@@ -377,16 +373,15 @@ var ErrEventBudget = errors.New("machine: event budget exhausted")
 // microseconds of wall time.
 const runPollEvents = 4096
 
-// RunContext is Run with an abort path: between bounded event chunks
-// it polls ctx and an optional event budget (0 = unlimited), so a
-// caller can impose a wall-clock timeout (context.WithTimeout) or an
-// operation ceiling on an otherwise opaque simulation. On abort the
-// machine is mid-flight and must be discarded — only the error is
-// meaningful. A run that completes is indistinguishable from Run: the
-// chunked loop executes the identical event sequence (see
-// sim.Engine.RunChunk), so digests and metrics are unaffected.
-// Unlike Run, a watchdog trip surfaces as a returned *DeadlockError
-// (classified with errors.Is(err, ErrDeadlock)), not a panic — the
+// RunContext is the machine's one program run loop. Between bounded
+// event chunks it polls ctx and an optional event budget (0 =
+// unlimited), so a caller can impose a wall-clock timeout
+// (context.WithTimeout) or an operation ceiling on an otherwise opaque
+// simulation. On abort the machine is mid-flight and must be discarded
+// — only the error is meaningful. Chunking does not change the event
+// sequence (see sim.Engine.RunChunk), so digests and metrics do not
+// depend on the chunk size. A watchdog trip surfaces as a returned
+// *DeadlockError (classified with errors.Is(err, ErrDeadlock)) — the
 // serve and chaos layers report the diagnosis instead of crashing.
 func (m *Machine) RunContext(ctx context.Context, progs []cpu.Program, maxEvents uint64) (Result, error) {
 	done := m.launch(progs)

@@ -75,11 +75,8 @@ type collective struct {
 }
 
 // New builds a world of n nodes.
-func New(eng *sim.Engine, n int, params timing.MPIParams) *World {
-	if params == (timing.MPIParams{}) {
-		params = timing.DefaultMPI()
-	}
-	return &World{eng: eng, n: n, params: params, inbox: make(map[pairKey]*pairQueue)}
+func New(eng *sim.Engine, n int) *World {
+	return &World{eng: eng, n: n, params: timing.DefaultMPI(), inbox: make(map[pairKey]*pairQueue)}
 }
 
 // Stats returns the counters.

@@ -10,7 +10,7 @@ import (
 
 func TestSendThenRecv(t *testing.T) {
 	eng := sim.NewEngine()
-	w := New(eng, 4, timing.MPIParams{})
+	w := New(eng, 4)
 	w.Send(0, 1, 1024)
 	var at sim.Time
 	got := false
@@ -27,7 +27,7 @@ func TestSendThenRecv(t *testing.T) {
 
 func TestRecvBeforeSend(t *testing.T) {
 	eng := sim.NewEngine()
-	w := New(eng, 4, timing.MPIParams{})
+	w := New(eng, 4)
 	got := false
 	w.Recv(1, 0, func() { got = true })
 	eng.At(5000, func() { w.Send(0, 1, 64) })
@@ -42,7 +42,7 @@ func TestRecvBeforeSend(t *testing.T) {
 
 func TestInOrderChannel(t *testing.T) {
 	eng := sim.NewEngine()
-	w := New(eng, 2, timing.MPIParams{})
+	w := New(eng, 2)
 	w.Send(0, 1, 8)
 	w.Send(0, 1, 1<<20) // much slower
 	var order []int
@@ -69,7 +69,7 @@ func TestCalibration(t *testing.T) {
 
 func TestBarrierReleasesAllTogether(t *testing.T) {
 	eng := sim.NewEngine()
-	w := New(eng, 4, timing.MPIParams{})
+	w := New(eng, 4)
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		node := i
@@ -100,7 +100,7 @@ func TestBarrierReleasesAllTogether(t *testing.T) {
 
 func TestConsecutiveBarriersMatchInOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	w := New(eng, 2, timing.MPIParams{})
+	w := New(eng, 2)
 	seq := []string{}
 	var phase2 func()
 	phase2 = func() {
@@ -125,7 +125,7 @@ func TestConsecutiveBarriersMatchInOrder(t *testing.T) {
 func TestAllReduceCostsMoreThanBarrier(t *testing.T) {
 	run := func(bytes uint64) sim.Time {
 		eng := sim.NewEngine()
-		w := New(eng, 8, timing.MPIParams{})
+		w := New(eng, 8)
 		for i := 0; i < 8; i++ {
 			if bytes == 0 {
 				w.Barrier(uint16ID(i), func() {})
@@ -143,7 +143,7 @@ func TestAllReduceCostsMoreThanBarrier(t *testing.T) {
 
 func TestSendOutOfRangePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	w := New(eng, 2, timing.MPIParams{})
+	w := New(eng, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

@@ -71,8 +71,6 @@ type Config struct {
 	// and individually delivered acknowledgements (the paper's
 	// estimated comparison in Figure 10).
 	Multicast bool
-	// Params supplies latency constants; zero value means timing.Default().
-	Params timing.Params
 	// Pool, when non-nil, recycles Message records: the network releases
 	// every message it finishes with (delivered to a handler, absorbed by
 	// gathering, or expanded into copies) back to the pool. Enable it
@@ -92,9 +90,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Stages == 0 {
 		c.Stages = topology.StagesForNodes(c.Nodes)
-	}
-	if c.Params == (timing.Params{}) {
-		c.Params = timing.Default()
 	}
 	return c
 }
@@ -143,6 +138,7 @@ type switchState struct {
 type Network struct {
 	eng      *sim.Engine
 	cfg      Config
+	params   timing.Params
 	stages   int
 	perStage int
 	switches []switchState // stage-major: [stage*perStage + index]
@@ -225,6 +221,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	n := &Network{
 		eng:      eng,
 		cfg:      cfg,
+		params:   timing.Default(),
 		stages:   cfg.Stages,
 		perStage: perStage,
 		switches: make([]switchState, cfg.Stages*perStage),
@@ -302,7 +299,7 @@ func (n *Network) stall(t sim.Time) sim.Time {
 }
 
 func (n *Network) hopSer(data bool) (hop, ser sim.Time) {
-	p := &n.cfg.Params
+	p := &n.params
 	if data {
 		return p.SwitchHopData, p.SerializeData
 	}
@@ -312,7 +309,7 @@ func (n *Network) hopSer(data bool) (hop, ser sim.Time) {
 // walkUnicast reserves the path src->dst starting at time t and returns
 // the arrival time at the destination node.
 func (n *Network) walkUnicast(src, dst int, t sim.Time, data bool) sim.Time {
-	p := &n.cfg.Params
+	p := &n.params
 	hop, ser := n.hopSer(data)
 	t = n.claim(&n.inject[src], t, ser) + p.NetFixed/2
 	n.injectBusy += ser
@@ -433,7 +430,7 @@ func (n *Network) Send(m *msg.Message) {
 // walkMulticast replicates m down the switch tree to the ascending
 // destination list members.
 func (n *Network) walkMulticast(m *msg.Message, members []topology.NodeID, t sim.Time) {
-	p := &n.cfg.Params
+	p := &n.params
 	_, ser := n.hopSer(m.HasData)
 	start := n.claim(&n.inject[int(m.Src)], t, ser)
 	n.injectBusy += ser
@@ -453,7 +450,7 @@ func (n *Network) walkMulticast(m *msg.Message, members []topology.NodeID, t sim
 // bit pattern only holds values real nodes have (and a pointer is a
 // real node). So no prefix leads only to nodes past the machine.
 func (n *Network) mcStep(m *msg.Message, members []topology.NodeID, k int, t sim.Time) {
-	p := &n.cfg.Params
+	p := &n.params
 	hop, ser := n.hopSer(m.HasData)
 	if k == n.stages {
 		node := members[0]
@@ -522,7 +519,7 @@ func (n *Network) waitPattern(spec directory.Dest, src, k int) uint8 {
 // walkGather advances one gather contribution from m.Src toward the
 // home, merging with sibling contributions at every stage.
 func (n *Network) walkGather(m *msg.Message, t sim.Time) {
-	p := &n.cfg.Params
+	p := &n.params
 	hop, ser := n.hopSer(m.HasData)
 	g := m.Gather
 	if g.Merged == 0 {
@@ -627,5 +624,5 @@ func (n *Network) MetricsInto(reg *metrics.Registry) {
 // useful for calibration tests and the analytic comparisons in the
 // experiment harness.
 func (n *Network) UncontendedLatency(data bool) sim.Time {
-	return n.cfg.Params.Traversal(n.stages, data)
+	return n.params.Traversal(n.stages, data)
 }

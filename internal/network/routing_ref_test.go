@@ -76,7 +76,7 @@ func (r *refRouter) send(m *msg.Message) {
 			_, ser := n.hopSer(m.HasData)
 			start := n.claim(&n.inject[int(m.Src)], now, ser)
 			n.injectBusy += ser
-			r.mcStep(m, 0, 0, start+n.cfg.Params.NetFixed/2)
+			r.mcStep(m, 0, 0, start+n.params.NetFixed/2)
 		} else {
 			for _, d := range members {
 				cp := n.cfg.Pool.Clone(m)
@@ -107,7 +107,7 @@ func (r *refRouter) destHasPrefix(d directory.Dest, prefix, digits int) bool {
 
 func (r *refRouter) mcStep(m *msg.Message, k, prefix int, t sim.Time) {
 	n := r.n
-	p := n.cfg.Params
+	p := n.params
 	hop, ser := n.hopSer(m.HasData)
 	if k == n.stages {
 		node := topology.NodeID(prefix)
@@ -167,7 +167,7 @@ func (r *refRouter) waitPattern(spec directory.Dest, src, k int) uint8 {
 
 func (r *refRouter) walkGather(m *msg.Message, t sim.Time) {
 	n := r.n
-	p := n.cfg.Params
+	p := n.params
 	hop, ser := n.hopSer(m.HasData)
 	g := m.Gather
 	if g.Merged == 0 {

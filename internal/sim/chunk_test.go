@@ -92,25 +92,3 @@ func TestRunChunkIdleFunc(t *testing.T) {
 		t.Fatalf("fired %d events, want 4", fired)
 	}
 }
-
-// TestRunChunkStop: Stop ends the chunk after the current event, and
-// the next chunk clears it, like Run.
-func TestRunChunkStop(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(Time(i), func() {
-			if i == 4 {
-				e.Stop()
-			}
-		})
-	}
-	fired, more := e.RunChunk(1 << 20)
-	if fired != 5 || !more {
-		t.Fatalf("stopped chunk = (%d, %v), want (5, true)", fired, more)
-	}
-	fired, more = e.RunChunk(1 << 20)
-	if fired != 5 || more {
-		t.Fatalf("resumed chunk = (%d, %v), want (5, false)", fired, more)
-	}
-}

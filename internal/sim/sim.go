@@ -6,6 +6,12 @@
 // (switches, caches, protocol modules, processors) schedule work
 // through one Engine.
 //
+// Events fire in one loop: Step fires the earliest event, and RunChunk
+// fires up to a limit of them, offering every queue drain to the idle
+// func. Run is RunChunk without a limit. Simulations run to quiescence;
+// a caller that must stop early (a cancelled context, an event budget)
+// stops between chunks, which leaves the event sequence unchanged.
+//
 // The queue is a hierarchical timing wheel (see wheel.go) whose layout
 // gives that order without comparing keys; the differential test in
 // wheel_test.go proves it dequeue-equivalent to a reference binary heap.
@@ -56,11 +62,10 @@ func (e *Event) When() Time { return e.at }
 // Engine is a discrete-event simulation engine. Create engines with
 // NewEngine.
 type Engine struct {
-	idle    func()
-	now     Time
-	fired   uint64
-	stopped bool
-	queue   wheel // also owns the pooled event records
+	idle  func()
+	now   Time
+	fired uint64
+	queue wheel // also owns the pooled event records
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -77,9 +82,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.queue.live }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it always indicates a model bug. Scheduling while the engine
-// is stopped (or after Stop, before the next Run) is allowed; the event
-// waits for the next Run/RunUntil.
+// panics: it always indicates a model bug. Scheduling while no run is
+// in progress is allowed; the event waits for the next Run or
+// RunChunk.
 //
 //cenju4:hotpath
 func (e *Engine) At(t Time, fn func()) *Event {
@@ -144,7 +149,7 @@ func (e *Engine) Cancel(ev *Event) {
 //
 //cenju4:hotpath
 func (e *Engine) Step() bool {
-	id, ev := e.queue.next(e.now, ^Time(0))
+	id, ev := e.queue.next(e.now)
 	if ev == nil {
 		return false
 	}
@@ -169,46 +174,32 @@ func (e *Engine) fireEvent(id uint32, ev *Event) {
 	}
 }
 
-// SetIdleFunc installs fn (nil removes it), invoked by Run every time
-// the event queue drains — the machine's quiescent points. fn may
-// schedule new events; Run then continues. Drivers that inject work in
-// rounds therefore get one callback per round without hand-rolling
-// idle detection. The idle func is NOT invoked when Run returns because
-// of Stop: a stopped engine is paused mid-schedule, not quiescent.
+// SetIdleFunc installs fn (nil removes it), invoked by Run and
+// RunChunk every time the event queue drains — the machine's quiescent
+// points. fn may schedule new events; the run then continues. Drivers
+// that inject work in rounds therefore get one callback per round
+// without hand-rolling idle detection.
 func (e *Engine) SetIdleFunc(fn func()) { e.idle = fn }
 
-// Run executes events until the queue drains or Stop is called. It
-// returns the number of events executed by this call. Run clears any
-// Stop left from an earlier call first, so a Stop issued while the
-// engine is not running has no effect on the next Run.
+// Run executes events until the queue drains with nothing rescheduled
+// by the idle func, and returns the number of events executed by this
+// call. It is RunChunk without a limit.
 func (e *Engine) Run() uint64 {
-	start := e.fired
-	e.stopped = false
-	for !e.stopped {
-		if e.Step() {
-			continue
-		}
-		if e.idle != nil {
-			e.idle()
-		}
-		if e.Pending() == 0 {
-			break
-		}
-	}
-	return e.fired - start
+	n, _ := e.RunChunk(^uint64(0))
+	return n
 }
 
 // RunChunk executes at most limit events and reports how many fired
-// and whether work remains queued. It is Run sliced into bounded
-// pieces: the idle func fires at every queue drain exactly as in Run,
-// and a drain with nothing rescheduled ends the chunk early with
-// more=false. Callers that need to interleave the simulation with
-// outside checks — the serve layer polls a context for cancellation
-// and enforces an event budget between chunks — loop over RunChunk
-// until more is false; the event sequence is identical to one Run
-// call, so chunked execution cannot perturb a result digest. Like Run
-// it clears a stale Stop on entry and returns early (with more
-// reporting the queue state) when Stop is called mid-chunk.
+// and whether work remains queued. It is the engine's one run loop:
+// the idle func fires at every queue drain, and a drain with nothing
+// rescheduled ends the chunk early with more=false. Callers that need
+// to interleave the simulation with outside checks — Machine.RunContext
+// polls a context for cancellation and enforces an event budget
+// between chunks — loop over RunChunk until more is false; the event
+// sequence is identical to one Run call, so chunked execution cannot
+// perturb a result digest. Between chunks the engine is paused, not
+// quiescent: events may be scheduled and canceled, and the idle func
+// has not been told of a drain.
 //
 // When the event limit lands exactly on a queue drain, the drain has
 // not yet been offered to the idle func; RunChunk then reports
@@ -217,8 +208,7 @@ func (e *Engine) Run() uint64 {
 // fires zero events.
 func (e *Engine) RunChunk(limit uint64) (fired uint64, more bool) {
 	start := e.fired
-	e.stopped = false
-	for !e.stopped && e.fired-start < limit {
+	for e.fired-start < limit {
 		if e.Step() {
 			continue
 		}
@@ -229,62 +219,5 @@ func (e *Engine) RunChunk(limit uint64) (fired uint64, more bool) {
 			return e.fired - start, false
 		}
 	}
-	if e.stopped {
-		return e.fired - start, e.Pending() > 0
-	}
 	return e.fired - start, e.Pending() > 0 || e.idle != nil
 }
-
-// RunUntil executes events with time <= deadline. Events scheduled past
-// the deadline remain queued; the clock is left at the last fired event
-// (or advanced to the deadline if nothing fired at it). The idle func
-// is invoked at every queue drain, exactly as in Run and RunChunk, so
-// quiescent-point hooks (Machine.AutoValidate, round-injecting drivers)
-// keep firing under window-bounded execution; events the idle func
-// schedules at or before the deadline run within this call. Like Run it
-// clears a stale Stop on entry and returns early when Stop is called.
-//
-//cenju4:hotpath
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	start := e.fired
-	e.stopped = false
-	for !e.stopped {
-		id, ev := e.queue.next(e.now, deadline)
-		if ev == nil {
-			// Nothing due by the deadline. On a true drain give the idle
-			// func its quiescent point; if it refills the queue, keep
-			// going (Run behaves identically).
-			if e.Pending() == 0 && e.idle != nil {
-				e.idle()
-				if e.Pending() > 0 {
-					continue
-				}
-			}
-			break
-		}
-		e.fireEvent(id, ev)
-	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
-	}
-	return e.fired - start
-}
-
-// RunFor runs events within the next d nanoseconds (see RunUntil). A
-// horizon so large that now+d wraps around sim.Time panics with an
-// overflow diagnosis rather than a misleading result.
-func (e *Engine) RunFor(d Time) uint64 {
-	deadline := e.now + d
-	if deadline < e.now {
-		panic(fmt.Sprintf("sim: RunFor(%v) from now %v overflows sim.Time", d, e.now))
-	}
-	return e.RunUntil(deadline)
-}
-
-// Stop makes the current Run/RunUntil call return after the current
-// event completes. Pending events stay queued and fire on the next
-// Run/RunUntil; events may still be scheduled and canceled while the
-// engine is stopped. Stop does not persist: the next Run/RunUntil
-// clears it on entry, so stopping an engine that is not running is a
-// no-op.
-func (e *Engine) Stop() { e.stopped = true }

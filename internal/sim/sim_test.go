@@ -113,49 +113,6 @@ func TestCancelMiddleOfQueue(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	n := e.RunUntil(25)
-	if n != 2 {
-		t.Fatalf("RunUntil fired %d events, want 2", n)
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", e.Pending())
-	}
-	if e.Now() != 25 {
-		t.Fatalf("Now() = %v, want 25 (advanced to deadline)", e.Now())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("total fired %d, want 4", len(fired))
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.At(Time(i*10), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 after Stop", count)
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", e.Pending())
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {

@@ -23,10 +23,11 @@ import "math/bits"
 // the order of the reference heap in wheel_test.go.
 //
 // Invariants:
-//   - base is at most every queued time and at most the engine's now.
-//     A cascade moves base to a slot start, which is at most every time
-//     in the slot; next never cascades past its deadline, so RunUntil
-//     cannot leave base ahead of the clock it sets.
+//   - base is at most every queued time, and at most the engine's now
+//     whenever next is not running. A cascade moves base to a slot
+//     start, which is at most every queued time; next then returns a
+//     live event at or after that start, and firing it brings the clock
+//     up to base before anything else can be scheduled.
 //   - When no live event remains, base is reset to now, and the lists
 //     are cleared if canceled entries remain; next never cascades once
 //     no live event remains. Otherwise cascading a slot that holds only
@@ -130,17 +131,15 @@ func (w *wheel) link(id uint32, ev *Event) {
 	l.tail = id
 }
 
-// next unlinks and returns the earliest live event at or before
-// deadline, or 0 and nil when there is none. now is the engine clock,
-// the value base resets to once the queue holds no live event.
+// next unlinks and returns the earliest live event, or 0 and nil when
+// there is none. now is the engine clock, the value base resets to once
+// the queue holds no live event.
 //
 //cenju4:hotpath
-func (w *wheel) next(now, deadline Time) (uint32, *Event) {
+func (w *wheel) next(now Time) (uint32, *Event) {
 	for w.live > 0 {
 		if w.l0sum == 0 {
-			if !w.cascade(deadline) {
-				return 0, nil
-			}
+			w.cascade()
 			continue
 		}
 		wd := uint64(bits.TrailingZeros64(w.l0sum))
@@ -150,8 +149,6 @@ func (w *wheel) next(now, deadline Time) (uint32, *Event) {
 		ev := w.ev(id)
 		if ev.dead {
 			w.dead--
-		} else if ev.at > deadline {
-			return 0, nil
 		} else {
 			w.live--
 		}
@@ -172,20 +169,15 @@ func (w *wheel) next(now, deadline Time) (uint32, *Event) {
 }
 
 // cascade empties the lowest non-empty upper slot into the levels below
-// it, moving base to the slot's start. It does nothing and reports false
-// when that start is past deadline. Requires an empty level 0 and at
+// it, moving base to the slot's start. Requires an empty level 0 and at
 // least one queued entry.
 //
 //cenju4:hotpath
-func (w *wheel) cascade(deadline Time) bool {
+func (w *wheel) cascade() {
 	lv := uint(bits.TrailingZeros64(w.upsum))
 	s := uint64(bits.TrailingZeros64(w.upbits[lv]))
 	shift := l0Bits + upBits*lv
-	start := Time(uint64(w.base)>>(shift+upBits)<<(shift+upBits) | s<<shift)
-	if start > deadline {
-		return false
-	}
-	w.base = start
+	w.base = Time(uint64(w.base)>>(shift+upBits)<<(shift+upBits) | s<<shift)
 	id := w.up[lv][s].head
 	w.up[lv][s] = slotList{}
 	if w.upbits[lv] &^= 1 << s; w.upbits[lv] == 0 {
@@ -201,7 +193,6 @@ func (w *wheel) cascade(deadline Time) bool {
 		}
 		id = nx
 	}
-	return true
 }
 
 // clear drops every list, leaving the canceled entries they held.

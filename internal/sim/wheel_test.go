@@ -4,8 +4,9 @@ package sim
 // observationally equivalent to a reference engine built on
 // container/heap and ordered by (time, sequence number). Both engines
 // are driven by identical randomized scripts of schedule /
-// nested-schedule / cancel / Step / Run / RunUntil / Stop operations,
-// and must produce identical firing logs, clocks, and counters. Any
+// nested-schedule / cancel / Step / Run / RunChunk operations (a
+// RunChunk at a random limit is the pause and resume Machine.RunContext
+// does), and must produce identical firing logs, clocks, and counters. Any
 // ordering bug in slot placement, cascading, lazy delete or the base
 // reset shows up as a log divergence.
 
@@ -55,11 +56,10 @@ func (h *refHeap) Pop() any {
 }
 
 type refEngine struct {
-	now     Time
-	seq     uint64
-	queue   refHeap
-	fired   uint64
-	stopped bool
+	now   Time
+	seq   uint64
+	queue refHeap
+	fired uint64
 }
 
 func (e *refEngine) at(t Time, fn func()) *refEvent {
@@ -92,18 +92,12 @@ func (e *refEngine) step() bool {
 }
 
 func (e *refEngine) run() {
-	e.stopped = false
-	for !e.stopped && e.step() {
+	for e.step() {
 	}
 }
 
-func (e *refEngine) runUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.step()
-	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
+func (e *refEngine) runChunk(limit uint64) {
+	for i := uint64(0); i < limit && e.step(); i++ {
 	}
 }
 
@@ -128,9 +122,7 @@ type diffDriver struct {
 	schedule func(t Time, fn func()) (cancel func())
 	step     func() bool
 	run      func()
-	runUntil func(Time)
-	stop     func()
-	pending  func() int
+	runChunk func(limit uint64)
 
 	// live cancel funcs for still-pending events, keyed by event id.
 	live map[int]func()
@@ -154,8 +146,6 @@ func (d *diffDriver) spawn(at Time) {
 		case r < 45:
 			// Cancel a random still-pending event.
 			d.cancelRandom()
-		case r < 47:
-			d.stop()
 		}
 	})
 	d.live[id] = cancel
@@ -214,13 +204,14 @@ func runScript(seed int64, d *diffDriver) {
 				d.step()
 			}
 		case 1:
-			if d.rng.Intn(2) == 0 {
-				d.runUntil(d.now() + Time(d.rng.Intn(1<<21)))
-			} else { // a deadline inside a far upper-level slot
-				d.runUntil(d.now() + Time(d.rng.Int63n(1<<40)))
+			// Pause mid-schedule, often with far events still waiting
+			// in upper-level slots; the next round schedules at the
+			// paused clock.
+			for i := 1 + d.rng.Intn(3); i > 0; i-- {
+				d.runChunk(uint64(1 + d.rng.Intn(48)))
 			}
 		case 2:
-			d.run() // may be cut short by a Stop inside a callback
+			d.run()
 		case 3:
 			// Schedule-only round: let pending events pile up.
 		}
@@ -229,9 +220,6 @@ func runScript(seed int64, d *diffDriver) {
 	// down to it. Its follow-ups stay far below the wrap.
 	d.spawn(^Time(0) - Time(d.rng.Intn(1<<20)))
 	d.run()
-	for d.pending() > 0 { // drain past any trailing in-callback Stop
-		d.run()
-	}
 }
 
 func bindReal(e *Engine) *diffDriver {
@@ -243,9 +231,7 @@ func bindReal(e *Engine) *diffDriver {
 	}
 	d.step = e.Step
 	d.run = func() { e.Run() }
-	d.runUntil = func(t Time) { e.RunUntil(t) }
-	d.stop = e.Stop
-	d.pending = e.Pending
+	d.runChunk = func(limit uint64) { e.RunChunk(limit) }
 	return d
 }
 
@@ -258,9 +244,7 @@ func bindRef(e *refEngine) *diffDriver {
 	}
 	d.step = e.step
 	d.run = e.run
-	d.runUntil = e.runUntil
-	d.stop = func() { e.stopped = true }
-	d.pending = func() int { return len(e.queue) }
+	d.runChunk = e.runChunk
 	return d
 }
 
@@ -402,26 +386,6 @@ func TestCancelAllThenScheduleAtNow(t *testing.T) {
 	e.At(6000, rec)
 	e.Run()
 	wantOrder(t, order, []Time{5000, 5001, 6000, ^Time(0)})
-}
-
-// TestRunUntilInsideUpperSlot stops RunUntil at a deadline that lies
-// inside an upper-level slot, before and after that slot's start, and
-// then schedules just after the clock.
-func TestRunUntilInsideUpperSlot(t *testing.T) {
-	for _, deadline := range []Time{1<<20 - 1, 1 << 20, 1<<20 + 100} {
-		e := NewEngine()
-		var order []Time
-		rec := func() { order = append(order, e.Now()) }
-		e.At(1<<20+5000, rec)
-		e.At(1<<26+3, rec)
-		if n := e.RunUntil(deadline); n != 0 || e.Now() != deadline {
-			t.Fatalf("deadline %v: fired %d, now %v", deadline, n, e.Now())
-		}
-		e.At(e.Now()+1, rec)
-		e.At(e.Now(), rec)
-		e.Run()
-		wantOrder(t, order, []Time{deadline, deadline + 1, 1<<20 + 5000, 1<<26 + 3})
-	}
 }
 
 // TestTieAcrossCascade: two events at one time, the first scheduled
