@@ -345,11 +345,10 @@ func (m *Machine) Validate() error { return m.m.Validate() }
 // harness lives in internal/fuzz and cmd/cenju4-fuzz. An invalid op
 // count is reported as an error before anything runs.
 func FuzzSmoke(seed uint64, ops int) error {
-	opts := fuzz.Options{Seed: seed, Ops: ops}
-	if err := opts.Validate(); err != nil {
+	rep, err := fuzz.Run(fuzz.Options{Seed: seed, Ops: ops})
+	if err != nil {
 		return err
 	}
-	rep := fuzz.Run(opts)
 	if rep.Failed() {
 		return fmt.Errorf("fuzz smoke (seed %d):\n%s", seed, rep.String())
 	}

@@ -38,11 +38,11 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"cenju4/cmd/internal/artifact"
 	"cenju4/cmd/internal/profiling"
-	"cenju4/internal/core"
 	"cenju4/internal/faults"
 	"cenju4/internal/fuzz"
 	"cenju4/internal/machine"
@@ -126,7 +126,8 @@ func main() {
 	if opts.Cells, err = cells(*mode, *multicast, *update, *stages); err != nil {
 		log.Fatal(err)
 	}
-	if err := opts.Validate(); err != nil {
+	cases, err := opts.Cases()
+	if err != nil {
 		var badNodes *machine.InvalidNodeCountError
 		var badStages *machine.InvalidStageCountError
 		switch {
@@ -143,11 +144,14 @@ func main() {
 		return
 	}
 	if *replay != 0 {
-		replayCase(opts, *replay, *metricsOut, *traceOut)
+		replayCase(cases, *replay, *metricsOut, *traceOut)
 		return
 	}
 
-	rep := fuzz.Run(opts)
+	rep, err := fuzz.Run(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Print(rep.String())
 	if *metricsOut != "" {
 		reg := rep.MergedMetrics()
@@ -171,15 +175,13 @@ func runChaos(opts fuzz.Options, fault, expect string, checkParallel bool) {
 	opts.Shrink = false
 	o := fuzz.ChaosOptions{Fuzz: opts, CheckParallel: checkParallel}
 	if fault != "" {
-		p := fuzz.Plan{Name: fault, Spec: opts.Fault, ExpectRecover: expect == "recover"}
-		if expect == "auto" {
-			// Recovery covers exactly the request/reply legs; faults
-			// confined there are repairable, anything wider is not.
-			p.ExpectRecover = p.Spec.Scope == faults.ScopeRequestReply
-		}
-		o.Plans = []fuzz.Plan{p}
+		want := expect == "recover" || expect == "auto" && fuzz.Recoverable(opts.Fault)
+		o.Plans = []fuzz.Plan{{Name: fault, Spec: opts.Fault, ExpectRecover: want}}
 	}
-	rep := fuzz.RunChaos(o)
+	rep, err := fuzz.RunChaos(o)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Print(rep.String())
 	if rep.Failed() {
 		prof.Stop()
@@ -203,84 +205,72 @@ func patterns(list string) ([]fuzz.Pattern, error) {
 	return out, nil
 }
 
-// replayCase re-runs the single case whose derived seed matches, with
-// the protocol tracer attached, and dumps the trace on failure. When
-// metricsOut/traceOut are set the case's registry and event stream are
-// exported regardless of pass/fail.
-func replayCase(opts fuzz.Options, caseSeed uint64, metricsOut, traceOut string) {
-	if len(opts.Patterns) == 0 {
-		opts.Patterns = fuzz.AllPatterns()
-	}
-	if len(opts.Cells) == 0 {
-		opts.Cells = fuzz.DefaultCells()
-	}
-	i := 0
-	for _, p := range opts.Patterns {
-		for _, cell := range opts.Cells {
-			s := fuzz.CaseSeed(opts.Seed, i)
-			i++
-			if s != caseSeed {
-				continue
-			}
-			c := fuzz.Case{
-				Seed: s, Nodes: opts.Nodes, Ops: opts.Ops, Rounds: opts.Rounds,
-				Pattern: p, Cell: cell, Trace: true,
-				Metrics: metricsOut != "",
-			}
-			streams := fuzz.Generate(c.Pattern, c.Seed, c.Nodes, c.Ops)
-			res := fuzz.RunOps(c, streams)
-			fmt.Printf("replay %v\n", c)
-			if metricsOut != "" && res.Metrics != nil {
-				if err := artifact.Metrics(metricsOut, res.Metrics); err != nil {
-					log.Fatal(err)
-				}
-			}
-			if traceOut != "" && res.Trace != nil {
-				stream := res.Trace.Stream(fmt.Sprintf("replay %d", caseSeed))
-				if err := artifact.Trace(traceOut, "the replay collector bound", stream); err != nil {
-					log.Fatal(err)
-				}
-			}
-			if !res.Failed() {
-				fmt.Println("ok: no violations")
-				return
-			}
-			if res.Panic != "" {
-				fmt.Printf("panic: %s\n", res.Panic)
-			}
-			if res.ValidateErr != "" {
-				fmt.Printf("validate: %s\n", res.ValidateErr)
-			}
-			for _, v := range res.Violations {
-				fmt.Printf("violation: %v\n", v)
-			}
-			if res.TraceDump != "" {
-				fmt.Println(res.TraceDump)
-			}
-			prof.Stop()
-			os.Exit(1)
+// replayed returns the case of the sweep whose per-case seed is
+// caseSeed, with the protocol trace attached. It is the sweep's own
+// case, fault plan and event budget included, so it fails exactly as
+// it did in the sweep.
+func replayed(cases []fuzz.Case, caseSeed uint64) (fuzz.Case, error) {
+	for _, c := range cases {
+		if c.Seed == caseSeed {
+			c.Trace = true
+			return c, nil
 		}
 	}
-	log.Fatalf("no case with seed %d under these flags (the per-case seed depends on -seed and the matrix flags)", caseSeed)
+	return fuzz.Case{}, fmt.Errorf("no case with seed %d under these flags (the per-case seed depends on -seed and the matrix flags)", caseSeed)
 }
 
+// replayCase runs the case of cases with the given seed and dumps its
+// trace on failure. When metricsOut/traceOut are set the case's
+// registry and event stream are exported regardless of pass/fail.
+func replayCase(cases []fuzz.Case, caseSeed uint64, metricsOut, traceOut string) {
+	c, err := replayed(cases, caseSeed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := fuzz.RunOps(c, fuzz.Generate(c.Pattern, c.Seed, c.Nodes, c.Ops))
+	fmt.Printf("replay %v\n", c)
+	if metricsOut != "" && res.Metrics != nil {
+		if err := artifact.Metrics(metricsOut, res.Metrics); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if traceOut != "" && res.Trace != nil {
+		stream := res.Trace.Stream(fmt.Sprintf("replay %d", c.Seed))
+		if err := artifact.Trace(traceOut, "the replay collector bound", stream); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if !res.Failed() {
+		fmt.Println("ok: no violations")
+		return
+	}
+	if res.Panic != "" {
+		fmt.Printf("panic: %s\n", res.Panic)
+	}
+	if res.ValidateErr != "" {
+		fmt.Printf("validate: %s\n", res.ValidateErr)
+	}
+	for _, v := range res.Violations {
+		fmt.Printf("violation: %v\n", v)
+	}
+	if res.TraceDump != "" {
+		fmt.Println(res.TraceDump)
+	}
+	prof.Stop()
+	os.Exit(1)
+}
+
+// cells selects the -mode/-multicast/-update slice of the matrix over
+// the -stages list; "all" keeps an axis whole.
 func cells(mode, multicast, update, stages string) ([]fuzz.Cell, error) {
-	modes, err := pickModes(mode)
-	if err != nil {
-		return nil, fmt.Errorf("-mode: %w", err)
-	}
-	mcs, err := pickBool(multicast)
-	if err != nil {
-		return nil, fmt.Errorf("-multicast: %w", err)
-	}
-	upds, err := pickBool(update)
-	if err != nil {
-		return nil, fmt.Errorf("-update: %w", err)
-	}
-	if update == "all" {
-		// Match fuzz.DefaultCells order (off before on) so per-case
-		// seeds line up with the library's sweep for -replay.
-		upds = []bool{false, true}
+	for _, f := range []struct{ name, value, values string }{
+		{"-mode", mode, "queuing, nack"},
+		{"-multicast", multicast, "on, off"},
+		{"-update", update, "on, off"},
+	} {
+		if f.value != "all" && !slices.Contains(strings.Split(f.values, ", "), f.value) {
+			return nil, fmt.Errorf("%s: unknown value %q (%s, all)", f.name, f.value, f.values)
+		}
 	}
 	var stageList []int
 	for _, s := range strings.Split(stages, ",") {
@@ -290,39 +280,13 @@ func cells(mode, multicast, update, stages string) ([]fuzz.Cell, error) {
 		}
 		stageList = append(stageList, n)
 	}
+	keep := func(flag, value string) bool { return flag == "all" || flag == value }
+	onOff := map[bool]string{true: "on", false: "off"}
 	var out []fuzz.Cell
-	for _, m := range modes {
-		for _, mc := range mcs {
-			for _, u := range upds {
-				for _, st := range stageList {
-					out = append(out, fuzz.Cell{Mode: m, Multicast: mc, Update: u, Stages: st})
-				}
-			}
+	for _, c := range fuzz.Matrix(stageList) {
+		if keep(mode, c.Mode.String()) && keep(multicast, onOff[c.Multicast]) && keep(update, onOff[c.Update]) {
+			out = append(out, c)
 		}
 	}
 	return out, nil
-}
-
-func pickModes(s string) ([]core.Mode, error) {
-	switch s {
-	case "all":
-		return []core.Mode{core.ModeQueuing, core.ModeNack}, nil
-	case "queuing":
-		return []core.Mode{core.ModeQueuing}, nil
-	case "nack":
-		return []core.Mode{core.ModeNack}, nil
-	}
-	return nil, fmt.Errorf("unknown value %q (queuing, nack, all)", s)
-}
-
-func pickBool(s string) ([]bool, error) {
-	switch s {
-	case "all":
-		return []bool{true, false}, nil
-	case "on":
-		return []bool{true}, nil
-	case "off":
-		return []bool{false}, nil
-	}
-	return nil, fmt.Errorf("unknown value %q (on, off, all)", s)
 }

@@ -1,66 +1,46 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"cenju4/internal/core"
+	"cenju4/internal/faults"
 	"cenju4/internal/fuzz"
 )
 
-func TestPickModes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []core.Mode
-	}{
-		{"all", []core.Mode{core.ModeQueuing, core.ModeNack}},
-		{"queuing", []core.Mode{core.ModeQueuing}},
-		{"nack", []core.Mode{core.ModeNack}},
-	}
-	for _, c := range cases {
-		got, err := pickModes(c.in)
-		if err != nil {
-			t.Fatalf("pickModes(%q): %v", c.in, err)
-		}
-		if len(got) != len(c.want) {
-			t.Fatalf("pickModes(%q) = %v, want %v", c.in, got, c.want)
-		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Fatalf("pickModes(%q) = %v, want %v", c.in, got, c.want)
+// TestCellsFilterMatrix: every accepted value of -mode, -multicast and
+// -update, "all" included, keeps exactly the matching cells of
+// fuzz.Matrix, in the matrix's order, so per-case seeds line up with
+// the library sweep.
+func TestCellsFilterMatrix(t *testing.T) {
+	matches := func(flag, v string) bool { return flag == "all" || flag == v }
+	onOff := map[bool]string{true: "on", false: "off"}
+	for _, mode := range []string{"all", "queuing", "nack"} {
+		for _, mc := range []string{"all", "on", "off"} {
+			for _, upd := range []string{"all", "on", "off"} {
+				got, err := cells(mode, mc, upd, "2,4,6")
+				if err != nil {
+					t.Fatalf("cells(%s, %s, %s): %v", mode, mc, upd, err)
+				}
+				var want []fuzz.Cell
+				for _, c := range fuzz.DefaultCells() {
+					if matches(mode, c.Mode.String()) && matches(mc, onOff[c.Multicast]) && matches(upd, onOff[c.Update]) {
+						want = append(want, c)
+					}
+				}
+				n := 3
+				for _, v := range []string{mode, mc, upd} {
+					if v == "all" {
+						n *= 2
+					}
+				}
+				if !slices.Equal(got, want) || len(got) != n {
+					t.Errorf("cells(%s, %s, %s) = %v, want the %d cells %v", mode, mc, upd, got, n, want)
+				}
 			}
 		}
-	}
-	if _, err := pickModes("dash"); err == nil {
-		t.Fatal("pickModes(\"dash\") should fail")
-	}
-}
-
-func TestPickBool(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []bool
-	}{
-		{"all", []bool{true, false}},
-		{"on", []bool{true}},
-		{"off", []bool{false}},
-	}
-	for _, c := range cases {
-		got, err := pickBool(c.in)
-		if err != nil {
-			t.Fatalf("pickBool(%q): %v", c.in, err)
-		}
-		if len(got) != len(c.want) {
-			t.Fatalf("pickBool(%q) = %v, want %v", c.in, got, c.want)
-		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Fatalf("pickBool(%q) = %v, want %v", c.in, got, c.want)
-			}
-		}
-	}
-	if _, err := pickBool("maybe"); err == nil {
-		t.Fatal("pickBool(\"maybe\") should fail")
 	}
 }
 
@@ -137,5 +117,43 @@ func TestPatternsList(t *testing.T) {
 		if _, err := patterns(bad); err == nil {
 			t.Errorf("patterns(%q) accepted", bad)
 		}
+	}
+}
+
+// TestReplayCarriesFaultAndBudget: the case -replay selects is the
+// sweep's own case, with the -fault plan and -budget the sweep ran it
+// under, so a watchdog failure found by the sweep reproduces on replay.
+func TestReplayCarriesFaultAndBudget(t *testing.T) {
+	spec, err := faults.ParseSpec("drop-forwards")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := cells("queuing", "on", "off", "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := fuzz.Options{
+		Seed: 1, Ops: 300, Rounds: 2,
+		Patterns: []fuzz.Pattern{fuzz.PatternHotspot}, Cells: cs,
+		Fault: spec, MaxEvents: 10_000_000,
+	}
+	cases, err := opts.Cases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 16860738450190168606
+	c, err := replayed(cases, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Seed != seed || c.Fault != spec || c.MaxEvents != opts.MaxEvents || !c.Trace {
+		t.Fatalf("replayed case %+v lost the sweep's fault plan, budget or trace", c)
+	}
+	res := fuzz.RunOps(c, fuzz.Generate(c.Pattern, c.Seed, c.Nodes, c.Ops))
+	if !res.Watchdog || !strings.Contains(res.Panic, "never finished") {
+		t.Fatalf("replay did not reproduce the sweep's watchdog trip: %q", res.Panic)
+	}
+	if _, err := replayed(cases, seed+1); err == nil {
+		t.Fatal("replayed found a case for a seed outside the sweep")
 	}
 }

@@ -36,17 +36,18 @@ type Plan struct {
 func DefaultPlans() []Plan {
 	var plans []Plan
 	for _, p := range faults.Presets() {
-		plans = append(plans, Plan{
-			Name: p.Name,
-			Spec: p.Spec,
-			// Forward-scope faults hit the home->slave leg, which the
-			// master-side retransmit cannot repair (the retransmitted
-			// request parks behind the wedged pending entry).
-			ExpectRecover: p.Spec.Scope == faults.ScopeRequestReply,
-		})
+		plans = append(plans, Plan{Name: p.Name, Spec: p.Spec, ExpectRecover: Recoverable(p.Spec)})
 	}
 	return plans
 }
+
+// Recoverable is the expected outcome of a plan: recovery covers
+// exactly the master<->home request/reply legs, so faults confined
+// there are repairable. Anything wider is not: forward-scope faults
+// hit the home->slave leg, which the master-side retransmit cannot
+// repair (the retransmitted request parks behind the wedged pending
+// entry).
+func Recoverable(s faults.Spec) bool { return s.Scope == faults.ScopeRequestReply }
 
 // PlanVerdict is the outcome of one plan's sweep.
 type PlanVerdict struct {
@@ -89,8 +90,9 @@ type ChaosOptions struct {
 const DefaultChaosBudget = 10_000_000
 
 // RunChaos executes the fuzz matrix under every plan and judges each
-// against its contract.
-func RunChaos(o ChaosOptions) *ChaosReport {
+// against its contract. It stops at the first plan whose options Run
+// refuses and returns that error.
+func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 	plans := o.Plans
 	if plans == nil {
 		plans = DefaultPlans()
@@ -100,16 +102,23 @@ func RunChaos(o ChaosOptions) *ChaosReport {
 	}
 	rep := &ChaosReport{}
 	for _, plan := range plans {
-		rep.Verdicts = append(rep.Verdicts, runPlan(o, plan))
+		v, err := runPlan(o, plan)
+		if err != nil {
+			return nil, err
+		}
+		rep.Verdicts = append(rep.Verdicts, v)
 	}
-	return rep
+	return rep, nil
 }
 
-func runPlan(o ChaosOptions, plan Plan) *PlanVerdict {
+func runPlan(o ChaosOptions, plan Plan) (*PlanVerdict, error) {
 	v := &PlanVerdict{Plan: plan}
 	fo := o.Fuzz
 	fo.Fault = plan.Spec
-	v.Report = Run(fo)
+	var err error
+	if v.Report, err = Run(fo); err != nil {
+		return nil, err
+	}
 	for _, res := range v.Report.Results {
 		switch {
 		case res.Watchdog:
@@ -138,7 +147,10 @@ func runPlan(o ChaosOptions, plan Plan) *PlanVerdict {
 		if o.CheckParallel {
 			seq := fo
 			seq.Parallel = 1
-			sr := Run(seq)
+			sr, err := Run(seq)
+			if err != nil {
+				return nil, err
+			}
 			for i, res := range v.Report.Results {
 				if res.Digest != sr.Results[i].Digest {
 					v.DigestMismatch = res.Case.String()
@@ -153,7 +165,7 @@ func runPlan(o ChaosOptions, plan Plan) *PlanVerdict {
 		v.Problems = append(v.Problems,
 			"unrecoverable plan: no case tripped the watchdog or the event budget (placebo)")
 	}
-	return v
+	return v, nil
 }
 
 func failReason(res *Result) string {

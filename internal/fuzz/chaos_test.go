@@ -26,7 +26,10 @@ func smokeFuzz(seed uint64) Options {
 }
 
 func TestChaosGridMeetsContracts(t *testing.T) {
-	rep := RunChaos(ChaosOptions{Fuzz: smokeFuzz(42), CheckParallel: true})
+	rep, err := RunChaos(ChaosOptions{Fuzz: smokeFuzz(42), CheckParallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Failed() {
 		t.Fatalf("chaos sweep failed:\n%s", rep)
 	}
@@ -62,7 +65,7 @@ func TestFaultSweepDigestsIdenticalAcrossParallelism(t *testing.T) {
 	par.Parallel = 4
 	seq := o
 	seq.Parallel = 1
-	pr, sr := Run(par), Run(seq)
+	pr, sr := mustRun(t, par), mustRun(t, seq)
 	if pr.String() != sr.String() {
 		t.Fatalf("reports differ across parallelism:\n--- parallel ---\n%s--- sequential ---\n%s", pr, sr)
 	}
@@ -82,7 +85,7 @@ func TestFaultSweepSeedsDiverge(t *testing.T) {
 	a.Fault = faults.Spec{Seed: 7, Drop: 0.05}.Normalize()
 	b := smokeFuzz(7)
 	b.Fault = faults.Spec{Seed: 8, Drop: 0.05}.Normalize()
-	ra, rb := Run(a), Run(b)
+	ra, rb := mustRun(t, a), mustRun(t, b)
 	same := true
 	for i := range ra.Results {
 		if ra.Results[i].Digest != rb.Results[i].Digest {

@@ -37,21 +37,26 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%v/%s/%s/s%d", c.Mode, mc, upd, c.Stages)
 }
 
-// DefaultCells is the full matrix from the issue: {queuing, nack} x
-// {multicast on, off} x {update on, off} x {2, 4, 6 network stages}.
-func DefaultCells() []Cell {
+// Matrix is the protocol configuration matrix over the given network
+// stage counts: {queuing, nack} x {multicast on, off} x {update off,
+// on} x stages, in that nesting order. A sweep's per-case seeds follow
+// its case order, so every subset of the matrix is taken in this order.
+func Matrix(stages []int) []Cell {
 	var cells []Cell
 	for _, mode := range []core.Mode{core.ModeQueuing, core.ModeNack} {
 		for _, mc := range []bool{true, false} {
 			for _, upd := range []bool{false, true} {
-				for _, stages := range []int{2, 4, 6} {
-					cells = append(cells, Cell{Mode: mode, Multicast: mc, Update: upd, Stages: stages})
+				for _, st := range stages {
+					cells = append(cells, Cell{Mode: mode, Multicast: mc, Update: upd, Stages: st})
 				}
 			}
 		}
 	}
 	return cells
 }
+
+// DefaultCells is the full matrix over 2, 4 and 6 network stages.
+func DefaultCells() []Cell { return Matrix([]int{2, 4, 6}) }
 
 // updatePredicate marks every fourth shared block for the update
 // protocol, so update cells exercise both protocols side by side.
@@ -164,7 +169,21 @@ type Options struct {
 	Parallel int
 }
 
-func (o Options) withDefaults() Options {
+// Cases returns the sweep Run executes: o's zero fields filled with
+// their defaults, then one Case per pattern x cell (patterns outer),
+// each with its CaseSeed and o's per-case fields. Options Run cannot
+// execute are an error: a node count or a cell's stage count the
+// machine cannot be built with (machine.Config.Validate's
+// *machine.InvalidNodeCountError and *machine.InvalidStageCountError,
+// or its error for a malformed fault plan), and a negative Ops or
+// Rounds.
+func (o Options) Cases() ([]Case, error) {
+	_, cases, err := o.expand()
+	return cases, err
+}
+
+// expand is Cases, also returning the filled options.
+func (o Options) expand() (Options, []Case, error) {
 	if o.Nodes == 0 {
 		o.Nodes = 8
 	}
@@ -183,45 +202,17 @@ func (o Options) withDefaults() Options {
 	if o.MaxShrinkRuns == 0 {
 		o.MaxShrinkRuns = 300
 	}
-	return o
-}
-
-// Validate reports options Run cannot execute, after filling zero
-// fields with their defaults: a node count or a cell's stage count the
-// machine cannot be built with (machine.Config.Validate's
-// *machine.InvalidNodeCountError and *machine.InvalidStageCountError,
-// or its error for a malformed fault plan), and a negative Ops or
-// Rounds.
-func (o Options) Validate() error {
-	o = o.withDefaults()
 	if o.Ops < 0 {
-		return fmt.Errorf("fuzz: negative op count %d", o.Ops)
+		return o, nil, fmt.Errorf("fuzz: negative op count %d", o.Ops)
 	}
 	if o.Rounds < 0 {
-		return fmt.Errorf("fuzz: negative round count %d", o.Rounds)
+		return o, nil, fmt.Errorf("fuzz: negative round count %d", o.Rounds)
 	}
 	for _, c := range o.Cells {
 		if err := (machine.Config{Nodes: o.Nodes, Stages: c.Stages, Fault: o.Fault}).Validate(); err != nil {
-			return err
+			return o, nil, err
 		}
 	}
-	return nil
-}
-
-// CaseSeed derives the i-th case's seed from the run seed
-// (runner.DeriveSeed's splitmix64 mixing: distinct per-case seeds from
-// one user seed, stable across runs).
-func CaseSeed(seed uint64, i int) uint64 {
-	return runner.DeriveSeed(seed, i)
-}
-
-// Run executes the full pattern x cell sweep and returns the report.
-// Cases are sharded across Options.Parallel workers; because every
-// case's seed derives from its matrix index and results merge in index
-// order, the report is byte-identical at every parallelism level.
-func Run(o Options) *Report {
-	o = o.withDefaults()
-	rep := &Report{Options: o}
 	var cases []Case
 	for _, p := range o.Patterns {
 		for _, cell := range o.Cells {
@@ -238,6 +229,26 @@ func Run(o Options) *Report {
 				Metrics:   o.CollectMetrics,
 			})
 		}
+	}
+	return o, cases, nil
+}
+
+// CaseSeed derives the i-th case's seed from the run seed
+// (runner.DeriveSeed's splitmix64 mixing: distinct per-case seeds from
+// one user seed, stable across runs).
+func CaseSeed(seed uint64, i int) uint64 {
+	return runner.DeriveSeed(seed, i)
+}
+
+// Run executes Cases and returns the report, or Cases' error before
+// any case runs. Cases are sharded across Options.Parallel workers;
+// because every case's seed derives from its matrix index and results
+// merge in index order, the report is byte-identical at every
+// parallelism level.
+func Run(o Options) (*Report, error) {
+	o, cases, err := o.expand()
+	if err != nil {
+		return nil, err
 	}
 	results, panics := runner.MapEach(
 		runner.Options{
@@ -274,8 +285,7 @@ func Run(o Options) *Report {
 	for _, p := range panics {
 		results[p.Index] = &Result{Case: cases[p.Index], Panic: fmt.Sprintf("harness: %v", p.Value)}
 	}
-	rep.Results = results
-	return rep
+	return &Report{Options: o, Results: results}, nil
 }
 
 // RunOps executes one case on the given streams. It never panics: a

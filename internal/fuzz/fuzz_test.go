@@ -27,7 +27,7 @@ func smokeOptions() Options {
 // requires a clean bill: no oracle violations, no invariant failures,
 // no deadlocks.
 func TestSmoke(t *testing.T) {
-	rep := Run(smokeOptions())
+	rep := mustRun(t, smokeOptions())
 	if rep.Failed() {
 		t.Fatalf("fuzz smoke failed:\n%s", rep.String())
 	}
@@ -36,10 +36,21 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// TestOptionsValidate: options Run cannot execute are refused before
-// any case runs, with the machine's named errors for node and stage
-// counts. Without the check, Nodes: 3 failed every case with a harness
-// panic and a negative op count ran an empty sweep.
+// mustRun is Run for options the test knows to be valid.
+func mustRun(t testing.TB, o Options) *Report {
+	t.Helper()
+	rep, err := Run(o)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return rep
+}
+
+// TestOptionsValidate: options Run cannot execute are refused by Cases,
+// with the machine's named errors for node and stage counts, and Run
+// returns the same error without running a case. Without the check,
+// Nodes: 3 failed every case with a harness panic and a negative op
+// count ran an empty sweep.
 func TestOptionsValidate(t *testing.T) {
 	var badNodes *machine.InvalidNodeCountError
 	var badStages *machine.InvalidStageCountError
@@ -59,13 +70,79 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative rounds", Options{Rounds: -1}, nil, false},
 		{"malformed fault plan", Options{Fault: faults.Spec{Drop: 2}}, nil, false},
 	} {
-		err := tc.o.Validate()
+		cases, err := tc.o.Cases()
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+			t.Errorf("%s: Cases() = %v, want ok=%v", tc.name, err, tc.ok)
 			continue
 		}
 		if tc.want != nil && !errors.As(err, tc.want) {
-			t.Errorf("%s: Validate() = %v (%T), want %T", tc.name, err, err, tc.want)
+			t.Errorf("%s: Cases() = %v (%T), want %T", tc.name, err, err, tc.want)
+		}
+		if tc.ok {
+			if len(cases) == 0 {
+				t.Errorf("%s: Cases() is empty", tc.name)
+			}
+			continue
+		}
+		var progress strings.Builder
+		tc.o.Progress = &progress
+		rep, runErr := Run(tc.o)
+		if rep != nil || runErr == nil || runErr.Error() != err.Error() {
+			t.Errorf("%s: Run() = %v, %v; want nil, %v", tc.name, rep, runErr, err)
+		}
+		if progress.Len() != 0 {
+			t.Errorf("%s: Run ran cases:\n%s", tc.name, progress.String())
+		}
+	}
+}
+
+// TestCasesAreTheSweep: Run executes exactly Cases, per-case fault
+// plan and event budget included, and a case picked out of Cases by
+// its seed and re-run fails as it did in the sweep. Under
+// drop-forwards the queuing cases wedge and trip the watchdog.
+func TestCasesAreTheSweep(t *testing.T) {
+	spec, err := faults.ParseSpec("drop-forwards")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{
+		Seed: 1, Ops: 300, Rounds: 2,
+		Patterns:  []Pattern{PatternHotspot, PatternMigratory},
+		Cells:     Matrix([]int{4})[:2],
+		Fault:     spec,
+		MaxEvents: DefaultChaosBudget,
+	}
+	cases, err := o.Cases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := mustRun(t, o)
+	if len(rep.Results) != len(cases) {
+		t.Fatalf("Run ran %d cases, Cases has %d", len(rep.Results), len(cases))
+	}
+	watchdogs := 0
+	for i, res := range rep.Results {
+		if res.Case != cases[i] {
+			t.Fatalf("case %d: Run ran %+v, Cases has %+v", i, res.Case, cases[i])
+		}
+		if res.Watchdog {
+			watchdogs++
+		}
+	}
+	if watchdogs == 0 {
+		t.Fatalf("drop-forwards tripped no watchdog:\n%s", rep)
+	}
+	for i, res := range rep.Results {
+		var c Case
+		for _, cc := range cases {
+			if cc.Seed == res.Case.Seed {
+				c = cc
+			}
+		}
+		again := RunOps(c, Generate(c.Pattern, c.Seed, c.Nodes, c.Ops))
+		if again.Panic != res.Panic || again.Watchdog != res.Watchdog {
+			t.Errorf("case %d (%v): replay gave watchdog=%v panic %q, sweep gave watchdog=%v panic %q",
+				i, c, again.Watchdog, again.Panic, res.Watchdog, res.Panic)
 		}
 	}
 }
@@ -75,7 +152,7 @@ func TestOptionsValidate(t *testing.T) {
 // oracle to catch the resulting stale load and shrink it to a small
 // reproducer.
 func TestInjectedInvalidationBugCaught(t *testing.T) {
-	rep := Run(Options{
+	rep := mustRun(t, Options{
 		Seed: 1, Ops: 600, Rounds: 2,
 		Faults:   &core.Faults{SkipInvalidate: true},
 		Patterns: []Pattern{PatternHotspot},
@@ -113,7 +190,7 @@ func oracleOrValidatorCaught(r *Result) bool {
 // resulting deadlock (captured panic plus idle-queue invariant) without
 // crashing the test process.
 func TestInjectedReservationBugCaught(t *testing.T) {
-	rep := Run(Options{
+	rep := mustRun(t, Options{
 		Seed: 1, Ops: 600, Rounds: 2,
 		Faults:   &core.Faults{SkipReservation: true},
 		Patterns: []Pattern{PatternHotspot, PatternMigratory},
@@ -138,7 +215,7 @@ func TestInjectedReservationBugCaught(t *testing.T) {
 // TestInjectedStaleReadBugCaught plants a home that serves dirty blocks
 // straight from memory.
 func TestInjectedStaleReadBugCaught(t *testing.T) {
-	rep := Run(Options{
+	rep := mustRun(t, Options{
 		Seed: 1, Ops: 600, Rounds: 2,
 		Faults:   &core.Faults{StaleDirtyRead: true},
 		Patterns: []Pattern{PatternMigratory},
@@ -158,8 +235,8 @@ func TestReportDeterminism(t *testing.T) {
 			{Mode: core.ModeQueuing, Multicast: true, Update: true, Stages: 2},
 			{Mode: core.ModeNack, Multicast: false, Stages: 4},
 		}}
-	a := Run(opts).String()
-	b := Run(opts).String()
+	a := mustRun(t, opts).String()
+	b := mustRun(t, opts).String()
 	if a != b {
 		t.Fatalf("reports differ for identical seed:\n--- first\n%s--- second\n%s", a, b)
 	}

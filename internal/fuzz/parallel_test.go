@@ -31,9 +31,9 @@ func equivalenceOptions(parallel int) Options {
 }
 
 func TestParallelReportByteIdentical(t *testing.T) {
-	seq := Run(equivalenceOptions(1)).String()
+	seq := mustRun(t, equivalenceOptions(1)).String()
 	for _, workers := range []int{2, 8} {
-		par := Run(equivalenceOptions(workers)).String()
+		par := mustRun(t, equivalenceOptions(workers)).String()
 		if par != seq {
 			t.Fatalf("parallel=%d report differs from sequential:\n--- sequential ---\n%s--- parallel ---\n%s",
 				workers, seq, par)
@@ -47,10 +47,10 @@ func TestParallelProgressByteIdentical(t *testing.T) {
 	var seqBuf, parBuf bytes.Buffer
 	o := equivalenceOptions(1)
 	o.Progress = &seqBuf
-	Run(o)
+	mustRun(t, o)
 	o = equivalenceOptions(8)
 	o.Progress = &parBuf
-	Run(o)
+	mustRun(t, o)
 	if seqBuf.String() != parBuf.String() {
 		t.Fatalf("progress streams differ:\n--- sequential ---\n%s--- parallel ---\n%s",
 			seqBuf.String(), parBuf.String())
@@ -71,8 +71,8 @@ func TestParallelFailureReporting(t *testing.T) {
 		o.MaxShrinkRuns = 40
 		return o
 	}
-	seq := Run(opts(1))
-	par := Run(opts(8))
+	seq := mustRun(t, opts(1))
+	par := mustRun(t, opts(8))
 	if !seq.Failed() {
 		t.Fatal("injected fault not detected")
 	}

@@ -157,3 +157,22 @@ func TestQueueCompaction(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkQueuePushPop: one Push and one Pop on a home request FIFO
+// sized for the paper's 1024-node machine and held half full, the
+// steady state of a contended home. The ring is already grown, so
+// neither call allocates.
+func BenchmarkQueuePushPop(b *testing.B) {
+	q := NewQueue[uint64]("home-requests", RequestQueueCapacity(topology.MaxNodes), RequestQueueBits)
+	for i := 0; i < q.Cap()/2; i++ {
+		q.Push(uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Push(uint64(i))
+		if _, ok := q.Pop(); !ok {
+			b.Fatal("queue drained")
+		}
+	}
+}

@@ -77,3 +77,15 @@ func TestNilPoolIsAllocateAndForget(t *testing.T) {
 		t.Fatal("nil-pool Clone broken")
 	}
 }
+
+// BenchmarkPoolRoundTrip: New then Put on a warm pool, one coherence
+// hop's message lifetime. A recycled record makes it allocation-free.
+func BenchmarkPoolRoundTrip(b *testing.B) {
+	p := &Pool{}
+	p.Put(p.Get())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Put(p.New(Message{Kind: ReadShared, Addr: 0x1000}))
+	}
+}
