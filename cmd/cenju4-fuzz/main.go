@@ -219,6 +219,20 @@ func replayed(cases []fuzz.Case, caseSeed uint64) (fuzz.Case, error) {
 	return fuzz.Case{}, fmt.Errorf("no case with seed %d under these flags (the per-case seed depends on -seed and the matrix flags)", caseSeed)
 }
 
+// replayHeader is what a replay prints first: the case, then the fault
+// plan and the event budget it runs under when it has them, as a sweep
+// report names its fault plan.
+func replayHeader(c fuzz.Case) string {
+	h := fmt.Sprintf("replay %v\n", c)
+	if c.Fault.Enabled() {
+		h += fmt.Sprintf("fault plan: %v\n", c.Fault)
+	}
+	if c.MaxEvents != 0 {
+		h += fmt.Sprintf("event budget: %d\n", c.MaxEvents)
+	}
+	return h
+}
+
 // replayCase runs the case of cases with the given seed and dumps its
 // trace on failure. When metricsOut/traceOut are set the case's
 // registry and event stream are exported regardless of pass/fail.
@@ -228,7 +242,7 @@ func replayCase(cases []fuzz.Case, caseSeed uint64, metricsOut, traceOut string)
 		log.Fatal(err)
 	}
 	res := fuzz.RunOps(c, fuzz.Generate(c.Pattern, c.Seed, c.Nodes, c.Ops))
-	fmt.Printf("replay %v\n", c)
+	fmt.Print(replayHeader(c))
 	if metricsOut != "" && res.Metrics != nil {
 		if err := artifact.Metrics(metricsOut, res.Metrics); err != nil {
 			log.Fatal(err)

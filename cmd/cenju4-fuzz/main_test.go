@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -149,6 +150,15 @@ func TestReplayCarriesFaultAndBudget(t *testing.T) {
 	if c.Seed != seed || c.Fault != spec || c.MaxEvents != opts.MaxEvents || !c.Trace {
 		t.Fatalf("replayed case %+v lost the sweep's fault plan, budget or trace", c)
 	}
+	want := fmt.Sprintf("replay %v\nfault plan: %v\nevent budget: 10000000\n", c, spec)
+	if got := replayHeader(c); got != want {
+		t.Fatalf("replay header %q, want %q", got, want)
+	}
+	c.Fault, c.MaxEvents = faults.Spec{}, 0
+	if got, want := replayHeader(c), fmt.Sprintf("replay %v\n", c); got != want {
+		t.Fatalf("fault-free replay header %q, want %q", got, want)
+	}
+	c.Fault, c.MaxEvents = spec, opts.MaxEvents
 	res := fuzz.RunOps(c, fuzz.Generate(c.Pattern, c.Seed, c.Nodes, c.Ops))
 	if !res.Watchdog || !strings.Contains(res.Panic, "never finished") {
 		t.Fatalf("replay did not reproduce the sweep's watchdog trip: %q", res.Panic)

@@ -51,7 +51,7 @@ func TestMasterReplyBufferExactlyFullThenDeferred(t *testing.T) {
 func deliverForwards(cl *cluster, node topology.NodeID, n int) {
 	c := cl.ctrls[node]
 	for i := 0; i < n; i++ {
-		c.Deliver(c.newMsg(msg.Message{
+		c.Deliver(c.cfg.Pool.New(msg.Message{
 			Kind:   msg.FwdReadShared,
 			Src:    2,
 			Dest:   directory.Single(node),

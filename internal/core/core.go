@@ -367,11 +367,12 @@ func (c *Controller) Deliver(m *msg.Message) {
 	}
 }
 
-// newMsg returns a pooled (or, without a pool, freshly allocated) copy
-// of proto. Outbound messages are built through it so records recycled
-// by the network's release points get reused here.
-func (c *Controller) newMsg(proto msg.Message) *msg.Message {
-	return c.cfg.Pool.New(proto)
+// newMsg returns a pooled (or, without a pool, fresh) message from this
+// node with its header set, for the caller to fill in place.
+func (c *Controller) newMsg(kind msg.Kind, dest directory.Dest, addr topology.Addr, master topology.NodeID) *msg.Message {
+	m := c.cfg.Pool.Get()
+	m.Kind, m.Src, m.Dest, m.Addr, m.Master = kind, c.cfg.Node, dest, addr, master
+	return m
 }
 
 // depart moves a message whose send delay has elapsed: destinations on

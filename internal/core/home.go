@@ -136,7 +136,9 @@ func (h *homeModule) processRequest(kind msg.Kind, master topology.NodeID, addr 
 
 	if e.State().Pending() {
 		if c.cfg.Mode == ModeNack {
-			h.reply(master, c.newMsg(msg.Message{Kind: msg.Nack, OrigKind: kind, Addr: addr, Master: master, Seq: seq}), sofar+cost)
+			nack := c.newMsg(msg.Nack, directory.Single(master), addr, master)
+			nack.OrigKind, nack.Seq = kind, seq
+			c.send(nack, sofar+cost)
 			return cost
 		}
 		// Queuing protocol: an ownership request against a pending block
@@ -177,17 +179,9 @@ func (h *homeModule) processStable(kind msg.Kind, master topology.NodeID, addr t
 			c.vals.memWrite(c.cfg.Node, addr, val)
 			c.vals.updateOrdered(master, addr, val, c.eng.Now())
 		}
-		um := msg.Message{
-			Kind:    msg.UpdateData,
-			Src:     c.cfg.Node,
-			Dest:    c.allNodes,
-			Addr:    addr,
-			Master:  master,
-			HasData: true,
-			Val:     val,
-		}
 		if c.fab.MulticastEnabled() {
-			pm := c.newMsg(um)
+			pm := c.newMsg(msg.UpdateData, c.allNodes, addr, master)
+			pm.HasData, pm.Val = true, val
 			pm.Gather = c.fab.AllocGather(c.allNodes, c.cfg.Node)
 			t.acksLeft = 1
 			c.send(pm, sofar+p.MemAccess)
@@ -195,8 +189,8 @@ func (h *homeModule) processStable(kind msg.Kind, master topology.NodeID, addr t
 			targets := c.allNodes.Members(c.memberBuf[:0], c.cfg.Nodes)
 			t.acksLeft = len(targets)
 			for _, n := range targets {
-				cp := c.newMsg(um)
-				cp.Dest = directory.Single(n)
+				cp := c.newMsg(msg.UpdateData, directory.Single(n), addr, master)
+				cp.HasData, cp.Val = true, val
 				c.send(cp, sofar+p.MemAccess)
 			}
 		}
@@ -212,14 +206,14 @@ func (h *homeModule) processStable(kind msg.Kind, master topology.NodeID, addr t
 			// invariant).
 			e.SetState(directory.Dirty)
 			e.MapSetOnly(master)
-			h.reply(master, c.newMsg(msg.Message{Kind: msg.HomeData, Addr: addr, Master: master, HasData: true, Excl: true, Val: h.memVal(addr), Seq: seq}), sofar+p.MemAccess)
+			h.reply(msg.HomeData, master, addr, seq, true, sofar+p.MemAccess)
 			return p.MemAccess
 		case e.State() == directory.Clean ||
 			(c.cfg.Faults != nil && c.cfg.Faults.StaleDirtyRead):
 			// Injected fault: a dirty block is served from (stale) memory
 			// without forwarding to the owner.
 			e.MapAdd(master)
-			h.reply(master, c.newMsg(msg.Message{Kind: msg.HomeData, Addr: addr, Master: master, HasData: true, Val: h.memVal(addr), Seq: seq}), sofar+p.MemAccess)
+			h.reply(msg.HomeData, master, addr, seq, false, sofar+p.MemAccess)
 			return p.MemAccess
 		default: // Dirty at another node: forward to the slave.
 			slave := h.dirtyOwner(e)
@@ -236,10 +230,10 @@ func (h *homeModule) processStable(kind msg.Kind, master topology.NodeID, addr t
 			e.MapSetOnly(master)
 			if kind == msg.Ownership {
 				// Sole sharer upgrading: no data transfer needed.
-				h.reply(master, c.newMsg(msg.Message{Kind: msg.HomeAck, Addr: addr, Master: master, Seq: seq}), sofar)
+				h.reply(msg.HomeAck, master, addr, seq, false, sofar)
 				return 0
 			}
-			h.reply(master, c.newMsg(msg.Message{Kind: msg.HomeData, Addr: addr, Master: master, HasData: true, Excl: true, Val: h.memVal(addr), Seq: seq}), sofar+p.MemAccess)
+			h.reply(msg.HomeData, master, addr, seq, true, sofar+p.MemAccess)
 			return p.MemAccess
 		case e.State() == directory.Clean:
 			// Other nodes registered: invalidate them all.
@@ -279,13 +273,7 @@ func (h *homeModule) dirtyOwner(e *directory.Entry) topology.NodeID {
 func (h *homeModule) forward(slave topology.NodeID, kind msg.Kind, addr topology.Addr, master topology.NodeID, delay sim.Time) {
 	c := h.c
 	c.stats.HomeForwards++
-	c.send(c.newMsg(msg.Message{
-		Kind:   kind,
-		Src:    c.cfg.Node,
-		Dest:   directory.Single(slave),
-		Addr:   addr,
-		Master: master,
-	}), delay)
+	c.send(c.newMsg(kind, directory.Single(slave), addr, master), delay)
 }
 
 // invalidate sends invalidation requests to every node the map
@@ -302,15 +290,8 @@ func (h *homeModule) invalidate(spec directory.Dest, addr topology.Addr, master 
 	c.stats.Invalidations++
 	c.stats.InvTargets += uint64(len(targets))
 	h.overflow.Push(addr) // outbound buffer: one invalidation + node map
-	base := msg.Message{
-		Kind:   msg.Invalidate,
-		Src:    c.cfg.Node,
-		Addr:   addr,
-		Master: master,
-	}
 	if c.fab.MulticastEnabled() && len(targets) > c.cfg.SinglecastThreshold {
-		m := c.newMsg(base)
-		m.Dest = spec
+		m := c.newMsg(msg.Invalidate, spec, addr, master)
 		m.Gather = c.fab.AllocGather(spec, c.cfg.Node)
 		t.acksLeft = 1 // one gathered reply
 		c.send(m, delay)
@@ -318,18 +299,21 @@ func (h *homeModule) invalidate(spec directory.Dest, addr topology.Addr, master 
 	}
 	t.acksLeft = len(targets)
 	for _, n := range targets {
-		m := c.newMsg(base)
-		m.Dest = directory.Single(n)
-		c.send(m, delay)
+		c.send(c.newMsg(msg.Invalidate, directory.Single(n), addr, master), delay)
 	}
 }
 
-// reply sends a message back to the master. The home reads the block
-// from memory when the reply carries data (cost accounted by caller).
-func (h *homeModule) reply(master topology.NodeID, m *msg.Message, delay sim.Time) {
-	m.Src = h.c.cfg.Node
-	m.Dest = directory.Single(master)
-	h.c.send(m, delay)
+// reply sends a kind reply about addr back to master after delay. A
+// HomeData reply carries the block from home memory (cost accounted by
+// the caller); excl grants the copy exclusively.
+func (h *homeModule) reply(kind msg.Kind, master topology.NodeID, addr topology.Addr, seq uint32, excl bool, delay sim.Time) {
+	c := h.c
+	m := c.newMsg(kind, directory.Single(master), addr, master)
+	m.Excl, m.Seq = excl, seq
+	if kind == msg.HomeData {
+		m.HasData, m.Val = true, h.memVal(addr)
+	}
+	c.send(m, delay)
 }
 
 // memVal reads the home-memory value of addr for a data reply (0 when
@@ -378,11 +362,11 @@ func (h *homeModule) processSlaveReply(m *msg.Message, sofar sim.Time) sim.Time 
 	case directory.PendingShared:
 		e.SetState(directory.Clean)
 		e.MapAdd(t.master)
-		h.reply(t.master, c.newMsg(msg.Message{Kind: msg.HomeData, Addr: m.Addr, Master: t.master, HasData: true, Val: h.memVal(m.Addr), Seq: t.seq}), sofar+cost)
+		h.reply(msg.HomeData, t.master, m.Addr, t.seq, false, sofar+cost)
 	case directory.PendingExclusive:
 		e.SetState(directory.Dirty)
 		e.MapSetOnly(t.master)
-		h.reply(t.master, c.newMsg(msg.Message{Kind: msg.HomeData, Addr: m.Addr, Master: t.master, HasData: true, Excl: true, Val: h.memVal(m.Addr), Seq: t.seq}), sofar+cost)
+		h.reply(msg.HomeData, t.master, m.Addr, t.seq, true, sofar+cost)
 	default:
 		panic(fmt.Sprintf("core: slave reply in state %v", e.State()))
 	}
@@ -417,18 +401,18 @@ func (h *homeModule) processInvAck(m *msg.Message, sofar sim.Time) sim.Time {
 		// node map is untouched (the update protocol does not track
 		// sharers — every node holds the data).
 		e.SetState(directory.Clean)
-		h.reply(t.master, c.newMsg(msg.Message{Kind: msg.HomeAck, Addr: m.Addr, Master: t.master, Seq: t.seq}), sofar+cost)
+		h.reply(msg.HomeAck, t.master, m.Addr, t.seq, false, sofar+cost)
 	case msg.Ownership:
 		e.SetState(directory.Dirty)
 		e.MapSetOnly(t.master)
-		h.reply(t.master, c.newMsg(msg.Message{Kind: msg.HomeAck, Addr: m.Addr, Master: t.master, Seq: t.seq}), sofar+cost)
+		h.reply(msg.HomeAck, t.master, m.Addr, t.seq, false, sofar+cost)
 	case msg.ReadExclusive:
 		// Send the block (a pending ownership that raced with a steal
 		// was already downgraded to read-exclusive when queued).
 		e.SetState(directory.Dirty)
 		e.MapSetOnly(t.master)
 		cost += p.MemAccess
-		h.reply(t.master, c.newMsg(msg.Message{Kind: msg.HomeData, Addr: m.Addr, Master: t.master, HasData: true, Excl: true, Val: h.memVal(m.Addr), Seq: t.seq}), sofar+cost)
+		h.reply(msg.HomeData, t.master, m.Addr, t.seq, true, sofar+cost)
 	default:
 		panic(fmt.Sprintf("core: invalidation transaction completed for %v", t.kind))
 	}

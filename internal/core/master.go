@@ -254,17 +254,9 @@ func (m *masterModule) issueUpdate(addr topology.Addr, store bool, done func()) 
 func (m *masterModule) sendRequest(slot *mshr, kind msg.Kind) {
 	c := m.c
 	slot.settled = false // each attempt reopens the reply window
-	c.send(c.newMsg(msg.Message{
-		Kind:     kind,
-		OrigKind: kind,
-		Src:      c.cfg.Node,
-		Dest:     directory.Single(slot.addr.Home()),
-		Addr:     slot.addr,
-		Master:   c.cfg.Node,
-		HasData:  kind == msg.UpdateWrite,
-		Val:      slot.tag, // update write-through: the tagged store value
-		Seq:      slot.seq,
-	}), c.params.ProcOverhead)
+	r := c.newMsg(kind, directory.Single(slot.addr.Home()), slot.addr, c.cfg.Node)
+	r.OrigKind, r.HasData, r.Val, r.Seq = kind, kind == msg.UpdateWrite, slot.tag, slot.seq // Val: an update write-through's tagged store
+	c.send(r, c.params.ProcOverhead)
 	m.armTimer(slot)
 }
 
@@ -323,16 +315,9 @@ func (m *masterModule) writeback(addr topology.Addr) {
 	if c.vals != nil {
 		val = c.vals.CacheValue(c.cfg.Node, addr) // dirty data leaves with the message
 	}
-	c.send(c.newMsg(msg.Message{
-		Kind:     msg.WriteBack,
-		OrigKind: msg.WriteBack,
-		Src:      c.cfg.Node,
-		Dest:     directory.Single(addr.Home()),
-		Addr:     addr,
-		Master:   c.cfg.Node,
-		HasData:  true,
-		Val:      val,
-	}), 0)
+	wb := c.newMsg(msg.WriteBack, directory.Single(addr.Home()), addr, c.cfg.Node)
+	wb.OrigKind, wb.HasData, wb.Val = msg.WriteBack, true, val
+	c.send(wb, 0)
 }
 
 // masterRetry is the static nack-backoff callback: its argument slot

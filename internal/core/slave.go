@@ -55,12 +55,7 @@ func (s *slaveModule) handle(m *msg.Message) {
 	}
 
 	st := c.cache.State(m.Addr)
-	reply := c.newMsg(msg.Message{
-		Src:    c.cfg.Node,
-		Dest:   directory.Single(m.Src),
-		Addr:   m.Addr,
-		Master: m.Master,
-	})
+	reply := c.newMsg(msg.KindInvalid, directory.Single(m.Src), m.Addr, m.Master) // kind set below
 	switch m.Kind {
 	case msg.FwdReadShared:
 		switch st {

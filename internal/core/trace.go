@@ -57,10 +57,15 @@ type Tracer func(TraceEvent)
 // SetTracer installs (or removes, with nil) a protocol event tracer.
 func (c *Controller) SetTracer(t Tracer) { c.trace = t }
 
+// emit reports m to the tracer, if any. The check is small enough to
+// inline into every message path; the record is built out of line.
 func (c *Controller) emit(kind TraceKind, m *msg.Message) {
-	if c.trace == nil {
-		return
+	if c.trace != nil {
+		c.traceMsg(kind, m)
 	}
+}
+
+func (c *Controller) traceMsg(kind TraceKind, m *msg.Message) {
 	c.trace(TraceEvent{
 		At:     c.eng.Now(),
 		Node:   c.cfg.Node,

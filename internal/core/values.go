@@ -33,52 +33,78 @@ type ValueObserver interface {
 // One tracker is shared by every controller of a machine and is only
 // safe for the single-threaded event engine that drives them.
 type ValueTracker struct {
-	nextTag uint64
-	obs     ValueObserver
-	cache   map[topology.NodeID]map[topology.Addr]uint64
-	mem     map[topology.NodeID]map[topology.Addr]uint64
-	l3      map[topology.NodeID]map[topology.Addr]uint64
+	nextTag        uint64
+	obs            ValueObserver
+	cache, mem, l3 valueTable
 }
 
 // NewValueTracker builds a tracker reporting to obs (which must be
 // non-nil).
 func NewValueTracker(obs ValueObserver) *ValueTracker {
-	return &ValueTracker{
-		obs:   obs,
-		cache: make(map[topology.NodeID]map[topology.Addr]uint64),
-		mem:   make(map[topology.NodeID]map[topology.Addr]uint64),
-		l3:    make(map[topology.NodeID]map[topology.Addr]uint64),
+	return &ValueTracker{obs: obs}
+}
+
+// valueTable maps (node, block) to a tagged value, 0 when unset: linear
+// probing over a power-of-two array at most half full, so an access is
+// a multiply and almost always one probe, not a Go map's hash and scan.
+type valueTable struct {
+	slots []struct{ key, val uint64 }
+	used  int
+}
+
+// slot returns the slot of key, or the empty one (key 0) where it goes.
+func (t *valueTable) slot(key uint64) *struct{ key, val uint64 } {
+	mask := uint64(len(t.slots) - 1)
+	for i := key * 0x9e3779b97f4a7c15 >> 40 & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
 	}
 }
 
-func get(m map[topology.NodeID]map[topology.Addr]uint64, n topology.NodeID, a topology.Addr) uint64 {
-	return m[n][a.Block()]
+// valueKey packs the node above the 40-bit block address and sets the
+// low bit, which a block address leaves clear, so no key is 0.
+func valueKey(n topology.NodeID, a topology.Addr) uint64 {
+	return uint64(n)<<48 | uint64(a.Block()) | 1
 }
 
-func set(m map[topology.NodeID]map[topology.Addr]uint64, n topology.NodeID, a topology.Addr, v uint64) {
-	inner := m[n]
-	if inner == nil {
-		//cenju4:alloc-ok one map per node, lazily; the value tracker attaches only in the fuzzing oracle
-		inner = make(map[topology.Addr]uint64)
-		m[n] = inner
+func (t *valueTable) get(n topology.NodeID, a topology.Addr) uint64 {
+	if t.used == 0 {
+		return 0
 	}
-	inner[a.Block()] = v
+	return t.slot(valueKey(n, a)).val
+}
+
+func (t *valueTable) set(n topology.NodeID, a topology.Addr, v uint64) {
+	if 2*(t.used+1) > len(t.slots) {
+		old := t.slots
+		//cenju4:alloc-ok doubles as the fuzz oracle's block universe grows
+		t.slots = make([]struct{ key, val uint64 }, max(64, 2*len(old)))
+		for _, s := range old {
+			*t.slot(s.key) = s // an empty old slot lands on an empty one
+		}
+	}
+	s := t.slot(valueKey(n, a))
+	if s.key == 0 {
+		t.used++
+	}
+	s.key, s.val = valueKey(n, a), v
 }
 
 // CacheValue returns the value node's secondary cache holds for the
 // block (meaningful only while the line is valid).
 func (t *ValueTracker) CacheValue(n topology.NodeID, a topology.Addr) uint64 {
-	return get(t.cache, n, a)
+	return t.cache.get(n, a)
 }
 
 // MemValue returns the home-memory value of the block.
 func (t *ValueTracker) MemValue(home topology.NodeID, a topology.Addr) uint64 {
-	return get(t.mem, home, a)
+	return t.mem.get(home, a)
 }
 
 // L3Value returns node's third-level-cache value of an update-protocol
 // block.
-func (t *ValueTracker) L3Value(n topology.NodeID, a topology.Addr) uint64 { return get(t.l3, n, a) }
+func (t *ValueTracker) L3Value(n topology.NodeID, a topology.Addr) uint64 { return t.l3.get(n, a) }
 
 // newTag returns a fresh, globally unique, monotonically increasing
 // store tag (tag 0 is the initial value of every block).
@@ -92,27 +118,27 @@ func (t *ValueTracker) newTag() uint64 {
 // hit on M/E, or transaction grant).
 func (t *ValueTracker) storeOrdered(n topology.NodeID, a topology.Addr, at sim.Time) {
 	tag := t.newTag()
-	set(t.cache, n, a, tag)
+	t.cache.set(n, a, tag)
 	t.obs.StoreOrdered(n, a, tag, false, at)
 }
 
 // loadObserved reports node's current cache value as a load result.
 func (t *ValueTracker) loadObserved(n topology.NodeID, a topology.Addr, at sim.Time) {
-	t.obs.LoadObserved(n, a, get(t.cache, n, a), at)
+	t.obs.LoadObserved(n, a, t.cache.get(n, a), at)
 }
 
 // fill records a cache fill with a value that arrived in a message.
-func (t *ValueTracker) fill(n topology.NodeID, a topology.Addr, v uint64) { set(t.cache, n, a, v) }
+func (t *ValueTracker) fill(n topology.NodeID, a topology.Addr, v uint64) { t.cache.set(n, a, v) }
 
 // memWrite records a home-memory write (writeback, slave data landing,
 // update write-through).
 func (t *ValueTracker) memWrite(home topology.NodeID, a topology.Addr, v uint64) {
-	set(t.mem, home, a, v)
+	t.mem.set(home, a, v)
 }
 
 // l3Write records an update broadcast landing in node's third-level
 // cache.
-func (t *ValueTracker) l3Write(n topology.NodeID, a topology.Addr, v uint64) { set(t.l3, n, a, v) }
+func (t *ValueTracker) l3Write(n topology.NodeID, a topology.Addr, v uint64) { t.l3.set(n, a, v) }
 
 // updateOrdered reports the home-side serialization of an update-
 // protocol write-through (the tag was assigned at issue and rode in the

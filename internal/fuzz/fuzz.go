@@ -320,7 +320,11 @@ func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 		m.SetTracer(col.Tracer())
 	}
 
+	var last machine.Result // the last completed round's result
 	finish := func() {
+		if res.Quiescents > 0 {
+			res.Digest = machine.Digest(last)
+		}
 		res.Violations = orc.Violations()
 		res.TotalViolations = orc.total
 		res.Trace = col
@@ -350,10 +354,7 @@ func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 		}
 	}()
 
-	rounds := c.Rounds
-	if rounds < 1 {
-		rounds = 1
-	}
+	rounds := max(c.Rounds, 1)
 	for r := 0; r < rounds; r++ {
 		progs := make([]cpu.Program, c.Nodes)
 		for n := range progs {
@@ -370,7 +371,7 @@ func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 		res.SimTime = mr.Time
 		res.Events = mr.Events
 		res.Misses = mr.Totals().Misses
-		res.Digest = machine.Digest(mr)
+		last = mr
 		if orc.total > 0 || firstInvalid() != nil {
 			break // already failing: stop early so shrinking stays cheap
 		}
@@ -389,11 +390,7 @@ func roundSlice(ops []cpu.Op, r, rounds int) []cpu.Op {
 	if lo >= len(ops) {
 		return nil
 	}
-	hi := lo + chunk
-	if hi > len(ops) {
-		hi = len(ops)
-	}
-	return ops[lo:hi]
+	return ops[lo:min(lo+chunk, len(ops))]
 }
 
 // Report is the outcome of a full sweep.

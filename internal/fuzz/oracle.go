@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 
 	"cenju4/internal/cache"
 	"cenju4/internal/core"
@@ -44,7 +45,7 @@ const maxViolations = 16
 type oracle struct {
 	update func(topology.Addr) bool // nil: everything strict
 	hist   map[topology.Addr][]uint64
-	index  map[topology.Addr]map[uint64]int // tag -> position (0 = initial)
+	index  map[topology.Addr]map[uint64]int // update blocks: tag -> position (0 = initial)
 	seen   map[topology.Addr]map[topology.NodeID]int
 	viol   []Violation
 	total  int
@@ -86,7 +87,8 @@ func (o *oracle) last(b topology.Addr) uint64 {
 // newest version at its serialization point.
 func (o *oracle) StoreOrdered(node topology.NodeID, addr topology.Addr, tag uint64, update bool, at sim.Time) {
 	b := addr.Block()
-	if o.isUpdate(b) != update {
+	isUpdate := o.isUpdate(b)
+	if isUpdate != update {
 		// A write-through on an invalidation block, or an exclusive
 		// grant sneaking a silent upgrade onto an update block — either
 		// way the two protocols are mixing on one block.
@@ -94,6 +96,9 @@ func (o *oracle) StoreOrdered(node topology.NodeID, addr topology.Addr, tag uint
 			Kind: "protocol-mix"})
 	}
 	o.hist[b] = append(o.hist[b], tag)
+	if !isUpdate {
+		return // only an update block's loads read a position
+	}
 	idx := o.index[b]
 	if idx == nil {
 		idx = map[uint64]int{0: 0}
@@ -109,8 +114,8 @@ func (o *oracle) LoadObserved(node topology.NodeID, addr topology.Addr, tag uint
 	if !o.isUpdate(b) {
 		if want := o.last(b); tag != want {
 			kind := "stale-load"
-			if _, known := o.index[b][tag]; !known && tag != 0 {
-				kind = "phantom-value"
+			if tag != 0 && !slices.Contains(o.hist[b], tag) {
+				kind = "phantom-value" // never stored to this block
 			}
 			o.record(Violation{At: at, Node: node, Addr: b, Got: tag, Want: want, Kind: kind})
 		}

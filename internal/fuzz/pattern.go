@@ -20,6 +20,7 @@ package fuzz
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"cenju4/internal/cpu"
@@ -132,10 +133,7 @@ func access(rng *rand.Rand, block topology.Addr, store bool) cpu.Op {
 // (pattern, seed, nodes, ops) always yields identical streams.
 func Generate(p Pattern, seed uint64, nodes, ops int) [][]cpu.Op {
 	rng := rand.New(rand.NewSource(int64(seed)))
-	perNode := ops / nodes
-	if perNode < 1 {
-		perNode = 1
-	}
+	perNode := max(ops/nodes, 1)
 	// Every pattern emits about perNode accesses per node plus ~10%
 	// jitter; sizing the streams up front saves append's regrowth copies.
 	streams := make([][]cpu.Op, nodes)
@@ -169,10 +167,7 @@ func Generate(p Pattern, seed uint64, nodes, ops int) [][]cpu.Op {
 		// Groups of up to 8 nodes share 4 group-private blocks,
 		// load-heavy so the sharer sets exceed the directory's pointer
 		// capacity before the occasional store sweeps them.
-		g := 8
-		if g > nodes {
-			g = nodes
-		}
+		g := min(8, nodes)
 		pool := blockPool(nodes, 4*((nodes+g-1)/g))
 		for n := range streams {
 			group := n / g
@@ -284,16 +279,8 @@ func Universe(ops [][]cpu.Op) []topology.Addr {
 			}
 		}
 	}
-	sortAddrs(blocks)
+	slices.Sort(blocks)
 	return blocks
-}
-
-func sortAddrs(a []topology.Addr) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // CountOps tallies loads and stores across all streams.

@@ -14,6 +14,10 @@ package msg
 // including tests whose handlers retain delivered messages — keeps the
 // allocate-and-forget behavior.
 //
+// Put clears only what could leak into a later transaction, the Gather
+// pointer; Get zeroes a record as it hands it out and New and Clone
+// overwrite it whole, so no record is cleared twice.
+//
 // A Pool is not goroutine-safe: it belongs to one machine, which
 // belongs to one engine, which is single-threaded. Parallel sweeps
 // (internal/runner) give every run its own machine and therefore its
@@ -27,15 +31,20 @@ type Pool struct {
 //
 //cenju4:hotpath
 func (p *Pool) Get() *Message {
+	m := p.pop()
+	*m = Message{}
+	return m
+}
+
+//cenju4:hotpath
+func (p *Pool) pop() *Message {
 	if p == nil {
 		//cenju4:alloc-ok a nil pool opts out of recycling by contract
 		return &Message{}
 	}
 	if n := len(p.free); n > 0 {
 		m := p.free[n-1]
-		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		m.inPool = false
 		return m
 	}
 	//cenju4:alloc-ok pool miss grows the steady-state working set once, then recycles
@@ -47,7 +56,7 @@ func (p *Pool) Get() *Message {
 //
 //cenju4:hotpath
 func (p *Pool) New(proto Message) *Message {
-	m := p.Get()
+	m := p.pop()
 	*m = proto
 	return m
 }
@@ -60,14 +69,15 @@ func (p *Pool) Clone(m *Message) *Message {
 	if m.inPool {
 		panic("msg: Clone of a released message")
 	}
-	return p.New(*m)
+	c := p.pop()
+	*c = *m
+	return c
 }
 
-// Put releases m for reuse and zeroes it so stale fields (Gather
-// pointers especially) cannot leak into the next transaction. Releasing
-// the same record twice panics: the second owner would observe its
-// message rewritten mid-flight. Put(nil) and Put on a nil pool are
-// no-ops.
+// Put releases m for reuse, clearing only its Gather pointer (see
+// Pool). Releasing the same record twice panics: the second owner would
+// observe its message rewritten mid-flight. Put(nil) and Put on a nil
+// pool are no-ops.
 //
 //cenju4:hotpath
 func (p *Pool) Put(m *Message) {
@@ -77,6 +87,9 @@ func (p *Pool) Put(m *Message) {
 	if m.inPool {
 		panic("msg: double release of a message")
 	}
-	*m = Message{inPool: true}
+	if m.Gather != nil {
+		m.Gather = nil // most messages carry none: skip the write barrier
+	}
+	m.inPool = true
 	p.free = append(p.free, m)
 }

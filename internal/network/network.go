@@ -140,8 +140,12 @@ type Network struct {
 	cfg      Config
 	params   timing.Params
 	stages   int
-	perStage int
-	switches []switchState // stage-major: [stage*perStage + index]
+	perStage int // switches per stage in the paper's network: 4^(S-1)
+	// stride is how many switches each stage stores: min(perStage,
+	// Nodes). On a machine with fewer nodes than the network has ports
+	// switchFor never reaches the rest (TestSwitchIndexBound).
+	stride   int
+	switches []switchState // stage-major: [stage*stride + index]
 	inject   []sim.Time    // per-node injection port busy-until
 	eject    []sim.Time    // per-node ejection port busy-until
 	handlers []Handler
@@ -218,13 +222,15 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		panic(fmt.Sprintf("network: %d stages cannot address %d nodes", cfg.Stages, cfg.Nodes))
 	}
 	perStage := 1 << (2 * (cfg.Stages - 1))
+	stride := min(perStage, cfg.Nodes)
 	n := &Network{
 		eng:      eng,
 		cfg:      cfg,
 		params:   timing.Default(),
 		stages:   cfg.Stages,
 		perStage: perStage,
-		switches: make([]switchState, cfg.Stages*perStage),
+		stride:   stride,
+		switches: make([]switchState, cfg.Stages*stride),
 		inject:   make([]sim.Time, cfg.Nodes),
 		eject:    make([]sim.Time, cfg.Nodes),
 		handlers: make([]Handler, cfg.Nodes),
@@ -267,8 +273,13 @@ func (n *Network) digit(x int, k int) int {
 // k followed by src's bits below it. A multicast copy's switch is the
 // same with dst any destination under the copy's prefix.
 func (n *Network) switchFor(k, src, dst int) *switchState {
+	return &n.switches[k*n.stride+n.switchIndex(k, src, dst)]
+}
+
+// switchIndex is switchFor's switch position within stage k.
+func (n *Network) switchIndex(k, src, dst int) int {
 	low := 2 * (n.stages - 1 - k)
-	return &n.switches[k*n.perStage+(dst>>(low+2)<<low|src&(1<<low-1))]
+	return dst>>(low+2)<<low | src&(1<<low-1)
 }
 
 // claim serializes use of a port resource: the transfer starts when both

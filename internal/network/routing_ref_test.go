@@ -48,7 +48,7 @@ func (r *refRouter) switchFor(k, src, dst int) *switchState {
 	for j := k + 1; j < n.stages; j++ {
 		idx = idx<<2 | n.digit(src, j)
 	}
-	return &n.switches[k*n.perStage+idx]
+	return &n.switches[k*n.stride+idx]
 }
 
 func (r *refRouter) send(m *msg.Message) {
@@ -126,7 +126,7 @@ func (r *refRouter) mcStep(m *msg.Message, k, prefix int, t sim.Time) {
 	for j := k + 1; j < n.stages; j++ {
 		idx = idx<<2 | n.digit(src, j)
 	}
-	sw := &n.switches[k*n.perStage+idx]
+	sw := &n.switches[k*n.stride+idx]
 	copyIdx := 0
 	for d := 0; d < topology.SwitchRadix; d++ {
 		if !r.destHasPrefix(m.Dest, prefix<<2|d, k+1) {
@@ -376,6 +376,33 @@ func TestSwitchForMatchesDigitLoop(t *testing.T) {
 			for k := 0; k < net.stages; k++ {
 				if net.switchFor(k, src, dst) != ref.switchFor(k, src, dst) {
 					t.Fatalf("nodes=%d stages=%d: switchFor(%d, %d, %d) differs", cfg.Nodes, net.stages, k, src, dst)
+				}
+			}
+		}
+	}
+}
+
+// TestSwitchIndexBound: every power-of-two node count up to 1024 on
+// every stage count that can address it reaches only the first
+// min(4^(S-1), Nodes) switches of a stage, the ones New stores; an
+// index past them would land in the next stage's switches.
+func TestSwitchIndexBound(t *testing.T) {
+	for nodes := 1; nodes <= topology.MaxNodes; nodes *= 2 {
+		for stages := 1; stages <= 6; stages++ {
+			if 1<<(2*stages) < nodes {
+				continue
+			}
+			net := New(sim.NewEngine(), Config{Nodes: nodes, Stages: stages})
+			if want := min(1<<(2*(stages-1)), nodes); net.stride != want || len(net.switches) != stages*want {
+				t.Fatalf("nodes=%d stages=%d: stride %d, %d switches; want %d per stage", nodes, stages, net.stride, len(net.switches), want)
+			}
+			for k := 0; k < stages; k++ {
+				for src := 0; src < nodes; src++ {
+					for dst := 0; dst < nodes; dst++ {
+						if i := net.switchIndex(k, src, dst); i >= net.stride {
+							t.Fatalf("nodes=%d stages=%d: switchIndex(%d, %d, %d) = %d, stride %d", nodes, stages, k, src, dst, i, net.stride)
+						}
+					}
 				}
 			}
 		}

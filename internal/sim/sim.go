@@ -37,16 +37,16 @@ func (t Time) Microseconds() float64 { return float64(t) / 1e3 }
 
 func (t Time) String() string { return fmt.Sprintf("%dns", uint64(t)) }
 
-// Event is a unit of scheduled work: either a plain callback (fn, from
-// At/After) or a callback-with-argument (fnc+arg, from AtCall — the
-// allocation-free form: a package-level func plus a pointer-shaped
-// argument needs no closure object per event).
+// Event is a unit of scheduled work, fired as fnc(arg): At's closure
+// rides as callClosure's argument (a func converts to any without
+// allocating). A fired record keeps fnc and arg until its next
+// At/AtCall overwrites them; every argument the simulator schedules is
+// a closure or a record its machine owns anyway.
 type Event struct {
 	at     Time
-	fn     func()
 	fnc    func(any)
 	arg    any
-	next   uint32 // id of the next event in the same wheel slot (see wheel.go)
+	next   uint32 // id of the next event in its wheel slot or the free list (see wheel.go)
 	dead   bool   // canceled before firing
 	queued bool   // currently in the wheel
 }
@@ -88,14 +88,11 @@ func (e *Engine) Pending() int { return e.queue.live }
 //
 //cenju4:hotpath
 func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	id, ev := e.queue.alloc()
-	*ev = Event{at: t, fn: fn, queued: true}
-	e.queue.push(id, ev)
-	return ev
+	return e.AtCall(t, callClosure, fn)
 }
+
+// callClosure is At's callback: its argument is the scheduled closure.
+func callClosure(fn any) { fn.(func())() }
 
 // AtCall schedules fn(arg) at absolute time t. It is the
 // allocation-free variant of At for per-event scheduling on hot paths:
@@ -110,7 +107,8 @@ func (e *Engine) AtCall(t Time, fn func(any), arg any) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	id, ev := e.queue.alloc()
-	*ev = Event{at: t, fnc: fn, arg: arg, queued: true}
+	// Field stores: a composite literal copies a temporary, barriered.
+	ev.at, ev.fnc, ev.arg, ev.queued = t, fn, arg, true
 	e.queue.push(id, ev)
 	return ev
 }
@@ -164,14 +162,9 @@ func (e *Engine) Step() bool {
 func (e *Engine) fireEvent(id uint32, ev *Event) {
 	e.now = ev.at
 	e.fired++
-	fn, fnc, arg := ev.fn, ev.fnc, ev.arg
-	ev.fn, ev.fnc, ev.arg, ev.queued = nil, nil, nil, false
-	e.queue.free = append(e.queue.free, id)
-	if fnc != nil {
-		fnc(arg)
-	} else {
-		fn()
-	}
+	ev.queued = false
+	ev.next, e.queue.free = e.queue.free, id
+	ev.fnc(ev.arg)
 }
 
 // SetIdleFunc installs fn (nil removes it), invoked by Run and
@@ -209,7 +202,8 @@ func (e *Engine) Run() uint64 {
 func (e *Engine) RunChunk(limit uint64) (fired uint64, more bool) {
 	start := e.fired
 	for e.fired-start < limit {
-		if e.Step() {
+		if id, ev := e.queue.next(e.now); ev != nil {
+			e.fireEvent(id, ev) // Step, inlined by hand: the per-event loop
 			continue
 		}
 		if e.idle != nil {

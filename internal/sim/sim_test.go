@@ -17,11 +17,12 @@ func TestEngineStartsAtZero(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the pooled event record at 48 bytes: no sequence
-// number (the wheel's slot order replaces it) and a 32-bit id link.
+// TestEventSize pins the pooled event record at 40 bytes: no sequence
+// number (the wheel's slot order replaces it), a 32-bit id link and one
+// callback form (At's closure rides as AtCall's argument).
 func TestEventSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Event{}); sz != 48 {
-		t.Fatalf("sizeof(Event) = %d, want 48", sz)
+	if sz := unsafe.Sizeof(Event{}); sz != 40 {
+		t.Fatalf("sizeof(Event) = %d, want 40", sz)
 	}
 }
 

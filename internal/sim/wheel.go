@@ -5,10 +5,12 @@ import "math/bits"
 // wheel is the engine's event queue: a hierarchical timing wheel
 // (Varghese & Lauck, SOSP 1987) over integer-nanosecond time.
 //
-// Level 0 holds 2^10 one-nanosecond slots for the epoch (the aligned
-// 2^10 ns block) that contains base. Each upper level holds 64 slots,
-// and each of its slots covers one whole epoch of the level below, so
-// 10 + 9*6 = 64 bits place every Time. An event lives at the lowest
+// Level 0 holds 2^12 one-nanosecond slots for the epoch (the aligned
+// 2^12 ns block) that contains base: the most one summary word indexes,
+// and wide enough that a processor quantum or a protocol step rarely
+// lands past it and has to cascade. Each upper level holds 64 slots,
+// each covering one whole epoch of the level below, so 12 + 9*6 bits
+// place every Time (the top level uses 4). An event lives at the lowest
 // level where its time and base agree on every higher bit. Each slot is
 // a FIFO list of event ids linked through Event.next; per-level bitmaps
 // (plus a summary word for level 0) find the next non-empty slot with
@@ -37,15 +39,16 @@ import "math/bits"
 // Event records live in fixed slabs addressed by id (0 is the empty
 // list), so *Event handles stay stable and the queue itself holds no
 // pointers: links and moves take no GC write barriers. Fired records
-// return to the free list; canceled ones are never reused.
+// return to the free list, linked through Event.next like a slot (a
+// fired record is in no slot); canceled ones are never reused.
 type wheel struct {
 	slabs []*[slabSize]Event
-	free  []uint32
+	free  uint32 // head of the fired-record free list (0 = empty)
 	ids   uint32 // highest id handed out
 	base  Time
 	live  int // queued and not canceled
 	dead  int // canceled, still linked in a slot
-	// The 13 KB of slots come with the first slab, so an engine that has
+	// The 37 KB of slots come with the first slab, so an engine that has
 	// not scheduled yet (a machine under construction) does not carry
 	// them, and they hold no pointer for the garbage collector to scan.
 	*slots
@@ -61,7 +64,7 @@ type slots struct {
 }
 
 const (
-	l0Bits   = 10
+	l0Bits   = 12
 	l0Slots  = 1 << l0Bits
 	upBits   = 6
 	upSlots  = 1 << upBits
@@ -78,10 +81,10 @@ func (w *wheel) ev(id uint32) *Event { return &w.slabs[id/slabSize][id%slabSize]
 //
 //cenju4:hotpath
 func (w *wheel) alloc() (uint32, *Event) {
-	if n := len(w.free); n > 0 {
-		id := w.free[n-1]
-		w.free = w.free[:n-1]
-		return id, w.ev(id)
+	if id := w.free; id != 0 {
+		ev := w.ev(id)
+		w.free = ev.next
+		return id, ev
 	}
 	w.ids++
 	if int(w.ids/slabSize) == len(w.slabs) {
