@@ -36,6 +36,8 @@ func (p *Pool) Get() *Message {
 	return m
 }
 
+// pop returns a released record as Put left it, or a new zeroed one.
+//
 //cenju4:hotpath
 func (p *Pool) pop() *Message {
 	if p == nil {

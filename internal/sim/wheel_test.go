@@ -403,8 +403,8 @@ func TestTieAcrossCascade(t *testing.T) {
 	wantOrder(t, order, []string{"cascade", "first", "second"})
 }
 
-// TestTiesOnEpochBoundary: ties at k*2^10-1 (the last level-0 slot of
-// an epoch) and k*2^10 (the first of the next, initially in level 1)
+// TestTiesOnEpochBoundary: ties at k*l0Slots-1 (the last level-0 slot
+// of an epoch) and k*l0Slots (the first of the next, initially in level 1)
 // fire by time, then by schedule order, including events scheduled
 // from inside the earlier tick.
 func TestTiesOnEpochBoundary(t *testing.T) {
