@@ -133,10 +133,10 @@ func (m *Machine) Directory(home int, offset uint64) DirectoryState {
 	e := m.m.Controller(topology.NodeID(home)).Memory().Entry(addr)
 	ds := DirectoryState{
 		State:      e.State().String(),
-		BitPattern: e.UsesBitPattern(),
+		BitPattern: e.Dest().IsPattern(),
 		Reserved:   e.Reserved(),
 	}
-	for _, n := range e.MapMembers(nil, m.m.Nodes()) {
+	for _, n := range e.Dest().Members(nil, m.m.Nodes()) {
 		ds.Sharers = append(ds.Sharers, int(n))
 	}
 	return ds

@@ -39,10 +39,10 @@ func main() {
 		e.MapAdd(n)
 	}
 	form := "pointer (precise)"
-	if e.UsesBitPattern() {
+	if e.Dest().IsPattern() {
 		form = "bit-pattern"
 	}
-	members := e.MapMembers(nil, *total)
+	members := e.Dest().Members(nil, *total)
 	fmt.Printf("sharers:      %v\n", sharers)
 	fmt.Printf("entry:        %v\n", e)
 	fmt.Printf("structure:    %s\n", form)

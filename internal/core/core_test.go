@@ -70,7 +70,7 @@ func TestColdLoadGrantsExclusive(t *testing.T) {
 		t.Fatalf("cache state = %v, want E", st)
 	}
 	e := cl.ctrls[0].Memory().Entry(a)
-	if e.State() != directory.Dirty || !e.MapIsOnly(0) {
+	if e.State() != directory.Dirty || !e.Dest().IsOnly(0) {
 		t.Fatalf("directory = %v, want dirty {0}", *e)
 	}
 }
@@ -87,7 +87,7 @@ func TestSecondReaderSharesViaOwnerDowngrade(t *testing.T) {
 		t.Fatalf("new reader state = %v, want S", st)
 	}
 	e := cl.ctrls[0].Memory().Entry(a)
-	if e.State() != directory.Clean || !e.MapContains(1) || !e.MapContains(2) {
+	if e.State() != directory.Clean || !e.Dest().Contains(1) || !e.Dest().Contains(2) {
 		t.Fatalf("directory = %v, want clean {1,2}", *e)
 	}
 }
@@ -108,7 +108,7 @@ func TestStoreToSharedInvalidatesOthers(t *testing.T) {
 		}
 	}
 	e := cl.ctrls[0].Memory().Entry(a)
-	if e.State() != directory.Dirty || !e.MapIsOnly(2) {
+	if e.State() != directory.Dirty || !e.Dest().IsOnly(2) {
 		t.Fatalf("directory = %v, want dirty {2}", *e)
 	}
 }
@@ -165,7 +165,7 @@ func TestWritebackOnEviction(t *testing.T) {
 	cl.access(t, 1, b, false)
 	cl.eng.Run()
 	e := cl.ctrls[0].Memory().Entry(a)
-	if e.State() != directory.Clean || !e.MapEmpty() {
+	if e.State() != directory.Clean || e.Dest().Count() != 0 {
 		t.Fatalf("directory after writeback = %v, want clean empty", *e)
 	}
 	if cl.ctrls[1].Stats().Writebacks != 1 {
@@ -194,7 +194,7 @@ func TestInvalidationAcrossFormatSwitch(t *testing.T) {
 		cl.access(t, n, a, false)
 	}
 	e := cl.ctrls[0].Memory().Entry(a)
-	if !e.UsesBitPattern() {
+	if !e.Dest().IsPattern() {
 		t.Fatal("directory did not switch to bit-pattern")
 	}
 	cl.access(t, 7, a, true) // read-exclusive from an unrelated node
@@ -206,7 +206,7 @@ func TestInvalidationAcrossFormatSwitch(t *testing.T) {
 	if st := cl.ctrls[7].Cache().State(a); st != cache.Modified {
 		t.Fatalf("writer = %v, want M", st)
 	}
-	if e.State() != directory.Dirty || !e.MapIsOnly(7) {
+	if e.State() != directory.Dirty || !e.Dest().IsOnly(7) {
 		t.Fatalf("directory = %v, want dirty {7}", *e)
 	}
 }

@@ -197,7 +197,7 @@ func (h *homeModule) processStable(kind msg.Kind, master topology.NodeID, addr t
 		return p.MemAccess
 	case msg.ReadShared:
 		switch {
-		case e.MapIsOnly(master) && !c.updateBlock(addr):
+		case e.Dest().IsOnly(master) && !c.updateBlock(addr):
 			// No node (or only the master) caches: grant exclusive.
 			// Update-protocol blocks are never granted exclusively — a
 			// silent E->M upgrade would bypass the write-through and
@@ -225,7 +225,7 @@ func (h *homeModule) processStable(kind msg.Kind, master topology.NodeID, addr t
 
 	case msg.ReadExclusive, msg.Ownership:
 		switch {
-		case e.MapIsOnly(master):
+		case e.Dest().IsOnly(master):
 			e.SetState(directory.Dirty)
 			e.MapSetOnly(master)
 			if kind == msg.Ownership {
@@ -262,7 +262,7 @@ func (h *homeModule) processStable(kind msg.Kind, master topology.NodeID, addr t
 
 // dirtyOwner returns the single node registered for a dirty block.
 func (h *homeModule) dirtyOwner(e *directory.Entry) topology.NodeID {
-	members := e.MapMembers(h.c.memberBuf[:0], h.c.cfg.Nodes)
+	members := e.Dest().Members(h.c.memberBuf[:0], h.c.cfg.Nodes)
 	if len(members) != 1 {
 		panic(fmt.Sprintf("core: dirty block with %d registered nodes", len(members)))
 	}

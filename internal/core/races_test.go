@@ -64,7 +64,7 @@ func TestWritebackRacesReadExclusive(t *testing.T) {
 		t.Fatalf("writer state = %v, want M", st)
 	}
 	e := cl.ctrls[0].Memory().Entry(a)
-	if e.State() != directory.Dirty || !e.MapIsOnly(3) {
+	if e.State() != directory.Dirty || !e.Dest().IsOnly(3) {
 		t.Fatalf("directory = %v, want dirty {3}", *e)
 	}
 }
@@ -213,7 +213,7 @@ func TestWritebackBurst(t *testing.T) {
 	}
 	for i := 0; i < 19; i++ {
 		e := cl.ctrls[0].Memory().Entry(blockAt(0, uint64(1+i)))
-		if e.State() != directory.Clean || !e.MapEmpty() || e.Reserved() {
+		if e.State() != directory.Clean || e.Dest().Count() != 0 || e.Reserved() {
 			t.Fatalf("block %d directory = %v after writeback", i, *e)
 		}
 	}

@@ -13,6 +13,14 @@
 // (pointer form) and for machines of <= 32 nodes (only the 32-bit field
 // varies).
 //
+// The format bit and node map (bits 59-0 of the entry) are a Dest, the
+// one node-map encoding of the simulator: the directory records sharers
+// in it, and an invalidation carries the same word as its destination,
+// so the network multicasts from the directory's own structure. Every
+// node-map query (Members, Count, Contains, AnyMatch, PortMask) is a
+// Dest method with one implementation per format, decoding the word in
+// place.
+//
 // The package also implements the other node-map schemes of Figure 4 —
 // coarse vector and hierarchical bit-map — behind a common NodeMap
 // interface, plus Monte-Carlo precision evaluation and Table 1's

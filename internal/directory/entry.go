@@ -60,11 +60,9 @@ func (s State) String() string {
 //	bit  59    : node-map format (0 = pointer, 1 = bit-pattern)
 //	bits 58-0  : node map
 //
-// In pointer format the map holds a 3-bit sharer count (bits 42-40) and
-// up to four 10-bit node pointers (bits 39-0). In bit-pattern format the
-// low 42 bits hold a BitPattern. The entry never switches back from
-// bit-pattern to pointer format except through MapClear/MapSetOnly,
-// mirroring the hardware.
+// Bits 59-0 are the entry's Dest: every node-map query decodes them
+// there. The entry never switches back from bit-pattern to pointer
+// format except through MapClear/MapSetOnly, mirroring the hardware.
 type Entry uint64
 
 const (
@@ -82,7 +80,7 @@ const (
 	// switches to the bit-pattern structure.
 	MaxPointers = 4
 
-	mapMask = 1<<59 - 1
+	destMask = 1<<(formatBit+1) - 1
 )
 
 // Reserved reports the reservation bit.
@@ -105,11 +103,21 @@ func (e *Entry) SetState(s State) {
 	*e = *e&^(stateMask<<stateShift) | Entry(s)<<stateShift
 }
 
-// UsesBitPattern reports whether the node map is in bit-pattern format.
-func (e Entry) UsesBitPattern() bool { return e>>formatBit&1 == 1 }
+// Dest returns the node map as a multicast destination specification:
+// the invalidation carries the directory's own pointer or bit-pattern
+// structure, so the network delivers copies only to represented nodes.
+//
+//cenju4:hotpath
+func (e Entry) Dest() Dest { return Dest(e & destMask) }
+
+func (e *Entry) setDest(d Dest) { *e = *e&^destMask | Entry(d) }
+
+// MapAdd records node n as a sharer (see Dest.Add for the dynamic
+// switch to the bit-pattern structure).
+func (e *Entry) MapAdd(n topology.NodeID) { e.setDest(e.Dest().Add(n)) }
 
 // MapClear empties the node map and returns it to pointer format.
-func (e *Entry) MapClear() { *e &^= 1<<formatBit | mapMask }
+func (e *Entry) MapClear() { e.setDest(0) }
 
 // MapSetOnly resets the node map to record exactly node n (pointer
 // format). Used when the home grants an exclusive copy.
@@ -118,243 +126,45 @@ func (e *Entry) MapSetOnly(n topology.NodeID) {
 	e.MapAdd(n)
 }
 
-// pointers returns the pointer-format sharer list in scratch storage.
-// Only valid when !UsesBitPattern(). The return is a value (inline
-// array), so decoding never touches the heap.
-func (e Entry) pointers() ([MaxPointers]topology.NodeID, int) {
-	var out [MaxPointers]topology.NodeID
-	cnt := int(e >> ptrCountShift & ptrCountMask)
-	for i := 0; i < cnt; i++ {
-		out[i] = topology.NodeID(e >> (i * ptrWidth) & ptrMask)
-	}
-	return out, cnt
-}
-
-// MapAdd records node n as a sharer. In pointer format a fifth distinct
-// sharer triggers the dynamic switch to the bit-pattern structure,
-// re-encoding the four pointers plus n.
-func (e *Entry) MapAdd(n topology.NodeID) {
-	if n >= topology.MaxNodes {
-		panic(fmt.Sprintf("directory: node %d out of range", n))
-	}
-	if e.UsesBitPattern() {
-		bp := e.bitPattern()
-		bp.Add(n)
-		e.setBitPattern(bp)
-		return
-	}
-	cnt := int(*e >> ptrCountShift & ptrCountMask)
-	for i := 0; i < cnt; i++ {
-		if topology.NodeID(*e>>(i*ptrWidth)&ptrMask) == n {
-			return // already recorded
-		}
-	}
-	if cnt < MaxPointers {
-		*e = *e&^(ptrCountMask<<ptrCountShift) |
-			Entry(cnt+1)<<ptrCountShift |
-			Entry(n)<<(cnt*ptrWidth)
-		return
-	}
-	// Dynamic switch: pointer structure is full.
-	var bp BitPattern
-	ptrs, cnt := e.pointers()
-	for _, p := range ptrs[:cnt] {
-		bp.Add(p)
-	}
-	bp.Add(n)
-	*e &^= mapMask
-	*e |= 1 << formatBit
-	e.setBitPattern(bp)
-}
-
-func (e Entry) bitPattern() BitPattern {
-	return BitPattern(e & (1<<BitPatternBits - 1))
-}
-
-func (e *Entry) setBitPattern(bp BitPattern) {
-	*e = *e&^Entry(1<<BitPatternBits-1) | Entry(bp)
-}
-
-// MapEmpty reports whether the node map represents no node.
-func (e Entry) MapEmpty() bool {
-	if e.UsesBitPattern() {
-		return e.bitPattern().Empty()
-	}
-	return e>>ptrCountShift&ptrCountMask == 0
-}
-
-// MapContains reports whether n is in the represented set (possibly a
-// superset of the true sharers in bit-pattern format).
-func (e Entry) MapContains(n topology.NodeID) bool {
-	if e.UsesBitPattern() {
-		return e.bitPattern().Contains(n)
-	}
-	cnt := int(e >> ptrCountShift & ptrCountMask)
-	for i := 0; i < cnt; i++ {
-		if topology.NodeID(e>>(i*ptrWidth)&ptrMask) == n {
-			return true
-		}
-	}
-	return false
-}
-
-// MapCount returns the size of the represented set.
-func (e Entry) MapCount() int {
-	if e.UsesBitPattern() {
-		return e.bitPattern().Count()
-	}
-	return int(e >> ptrCountShift & ptrCountMask)
-}
-
-// MapIsOnly reports whether the represented set is empty or exactly
-// {n} — the "no node or only the master is registered" test of the
-// protocol.
-func (e Entry) MapIsOnly(n topology.NodeID) bool {
-	switch e.MapCount() {
-	case 0:
-		return true
-	case 1:
-		return e.MapContains(n)
-	default:
-		return false
-	}
-}
-
-// MapHasOthers reports whether the represented set contains any node
-// other than n.
-func (e Entry) MapHasOthers(n topology.NodeID) bool {
-	c := e.MapCount()
-	if c == 0 {
-		return false
-	}
-	if c > 1 {
-		return true
-	}
-	return !e.MapContains(n)
-}
-
-// MapMembers appends the represented node set to dst, restricted to
-// nodes below limit (the machine size). With a dst of sufficient
-// capacity the decode is allocation-free.
-//
-//cenju4:hotpath
-func (e Entry) MapMembers(dst []topology.NodeID, limit int) []topology.NodeID {
-	if e.UsesBitPattern() {
-		return e.bitPattern().Members(dst, limit)
-	}
-	cnt := int(e >> ptrCountShift & ptrCountMask)
-	for i := 0; i < cnt; i++ {
-		if p := topology.NodeID(e >> (i * ptrWidth) & ptrMask); int(p) < limit {
-			dst = append(dst, p)
-		}
-	}
-	return dst
-}
-
-// Dest returns the multicast destination specification matching the
-// node map: the same pointer or bit-pattern structure is carried in the
-// invalidation message so the network delivers copies only to
-// represented nodes.
-//
-//cenju4:hotpath
-func (e Entry) Dest() Dest {
-	if e.UsesBitPattern() {
-		return Dest{Pattern: e.bitPattern(), IsPattern: true}
-	}
-	d := Dest{}
-	d.ptrs, d.nptr = e.pointers()
-	return d
-}
-
 func (e Entry) String() string {
 	r := ""
 	if e.Reserved() {
 		r = "R,"
 	}
-	if e.UsesBitPattern() {
-		return fmt.Sprintf("dir[%s%v,%v]", r, e.State(), e.bitPattern())
-	}
-	ptrs, cnt := e.pointers()
-	return fmt.Sprintf("dir[%s%v,ptr%v]", r, e.State(), ptrs[:cnt])
+	return fmt.Sprintf("dir[%s%v,%v]", r, e.State(), e.Dest())
 }
 
-// Dest is a multicast destination specification: either an explicit
-// pointer list (precise, <= 4 nodes) or a bit-pattern. It mirrors the
-// directory's two formats, as in the hardware, so invalidations reach
-// exactly the represented set. The pointer list is stored inline — a
-// Dest is a small value, built and copied without heap traffic on the
-// per-message hot path.
-type Dest struct {
-	ptrs      [MaxPointers]topology.NodeID
-	nptr      int
-	Pattern   BitPattern
-	IsPattern bool
-}
+// Dest is a node map: bits 59-0 of an Entry, the format bit plus either
+// a 3-bit pointer count (bits 42-40) over up to four 10-bit node
+// pointers (bits 39-0, slots above the count zero) or a BitPattern (bits
+// 41-0). It is both the directory's record of sharers and the
+// destination field of a message, as in the hardware, so invalidations
+// reach exactly the represented set. Queries decode the word in place.
+type Dest uint64
 
 // PointerDest builds a pointer-format destination from an explicit node
-// list (at most MaxPointers entries).
+// list (at most MaxPointers entries, kept in order).
 func PointerDest(nodes ...topology.NodeID) Dest {
 	if len(nodes) > MaxPointers {
 		panic(fmt.Sprintf("directory: %d nodes exceed the pointer structure", len(nodes)))
 	}
-	d := Dest{nptr: len(nodes)}
-	copy(d.ptrs[:], nodes)
+	d := Dest(len(nodes)) << ptrCountShift
+	for i, n := range nodes {
+		if n >= topology.MaxNodes {
+			panic(fmt.Sprintf("directory: node %d out of range", n))
+		}
+		d |= Dest(n) << (i * ptrWidth)
+	}
 	return d
 }
 
-// Pointers returns the pointer-format node list (empty in bit-pattern
-// format). The slice aliases the receiver's inline storage.
-func (d *Dest) Pointers() []topology.NodeID { return d.ptrs[:d.nptr] }
-
-// SingleTo reports whether d addresses exactly node n in pointer
-// format — the singlecast test the message layer applies per send.
-func (d Dest) SingleTo(n topology.NodeID) bool {
-	return !d.IsPattern && d.nptr == 1 && d.ptrs[0] == n
-}
-
-// Members appends the destination node set (below limit) to dst.
-//
-//cenju4:hotpath
-func (d Dest) Members(dst []topology.NodeID, limit int) []topology.NodeID {
-	if d.IsPattern {
-		return d.Pattern.Members(dst, limit)
-	}
-	for _, p := range d.ptrs[:d.nptr] {
-		if int(p) < limit {
-			dst = append(dst, p)
-		}
-	}
-	return dst
-}
-
-// Count returns the size of the destination set (limit-confined counts
-// require Members; Count is the raw represented size).
-func (d Dest) Count() int {
-	if d.IsPattern {
-		return d.Pattern.Count()
-	}
-	return d.nptr
-}
-
-// Contains reports whether node n is a destination.
-func (d Dest) Contains(n topology.NodeID) bool {
-	if d.IsPattern {
-		return d.Pattern.Contains(n)
-	}
-	for _, p := range d.ptrs[:d.nptr] {
-		if p == n {
-			return true
-		}
-	}
-	return false
-}
+// PatternDest returns the bit-pattern destination holding bp.
+func PatternDest(bp BitPattern) Dest { return 1<<formatBit | Dest(bp) }
 
 // Single returns a destination spec for exactly one node.
 //
 //cenju4:hotpath
-func Single(n topology.NodeID) Dest {
-	return Dest{ptrs: [MaxPointers]topology.NodeID{n}, nptr: 1}
-}
+func Single(n topology.NodeID) Dest { return 1<<ptrCountShift | Dest(n) }
 
 // AllNodes returns a bit-pattern destination covering exactly nodes
 // 0..n-1 (n a power of two). The update-protocol extension uses it to
@@ -364,5 +174,113 @@ func AllNodes(n int) Dest {
 	for i := 0; i < n; i++ {
 		bp.Add(topology.NodeID(i))
 	}
-	return Dest{Pattern: bp, IsPattern: true}
+	return PatternDest(bp)
+}
+
+// IsPattern reports whether d is in bit-pattern format.
+func (d Dest) IsPattern() bool { return d>>formatBit&1 == 1 }
+
+// Pattern returns the bit-pattern map (meaningful when IsPattern).
+func (d Dest) Pattern() BitPattern { return BitPattern(d & (1<<BitPatternBits - 1)) }
+
+// Node returns the first pointer: the one node of a singlecast
+// destination.
+func (d Dest) Node() topology.NodeID { return topology.NodeID(d & ptrMask) }
+
+// ptrs returns the pointer count (pointer format only). Pointer-form
+// queries shift the pointers out of the word one at a time rather than
+// copying them out.
+func (d Dest) ptrs() int { return int(d >> ptrCountShift & ptrCountMask) }
+
+// SingleTo reports whether d addresses exactly node n in pointer
+// format — the singlecast test the message layer applies per send. It
+// compares whole words: every writer leaves the pointer slots above the
+// count zero.
+func (d Dest) SingleTo(n topology.NodeID) bool { return d == Single(n) }
+
+// Add returns d with node n recorded. In pointer format a fifth
+// distinct node triggers the dynamic switch to the bit-pattern
+// structure, re-encoding the four pointers plus n.
+func (d Dest) Add(n topology.NodeID) Dest {
+	if n >= topology.MaxNodes {
+		panic(fmt.Sprintf("directory: node %d out of range", n))
+	}
+	if d.IsPattern() {
+		return d | Dest(EncodeNode(n))
+	}
+	cnt := d.ptrs()
+	for w, c := d, cnt; c > 0; w, c = w>>ptrWidth, c-1 {
+		if topology.NodeID(w&ptrMask) == n {
+			return d // already recorded
+		}
+	}
+	if cnt < MaxPointers {
+		return d + (1<<ptrCountShift | Dest(n)<<(cnt*ptrWidth))
+	}
+	// Dynamic switch: the pointer structure is full.
+	bp := EncodeNode(n)
+	for w, c := d, cnt; c > 0; w, c = w>>ptrWidth, c-1 {
+		bp.Add(topology.NodeID(w & ptrMask))
+	}
+	return PatternDest(bp)
+}
+
+// Members appends the represented node set to dst, restricted to nodes
+// below limit (the machine size). With a dst of sufficient capacity the
+// decode is allocation-free.
+//
+//cenju4:hotpath
+func (d Dest) Members(dst []topology.NodeID, limit int) []topology.NodeID {
+	if d.IsPattern() {
+		return d.Pattern().Members(dst, limit)
+	}
+	for w, c := d, d.ptrs(); c > 0; w, c = w>>ptrWidth, c-1 {
+		if p := topology.NodeID(w & ptrMask); int(p) < limit {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
+// Count returns the size of the represented set (limit-confined counts
+// require Members; Count is the raw represented size).
+func (d Dest) Count() int {
+	if d.IsPattern() {
+		return d.Pattern().Count()
+	}
+	return d.ptrs()
+}
+
+// Contains reports whether node n is in the represented set (possibly a
+// superset of the true sharers in bit-pattern format).
+func (d Dest) Contains(n topology.NodeID) bool {
+	if d.IsPattern() {
+		return d.Pattern().Contains(n)
+	}
+	for w, c := d, d.ptrs(); c > 0; w, c = w>>ptrWidth, c-1 {
+		if topology.NodeID(w&ptrMask) == n {
+			return true
+		}
+	}
+	return false
+}
+
+// IsOnly reports whether the represented set is empty or exactly {n} —
+// the "no node or only the master is registered" test of the protocol.
+func (d Dest) IsOnly(n topology.NodeID) bool {
+	switch d.Count() {
+	case 0:
+		return true
+	case 1:
+		return d.Contains(n)
+	default:
+		return false
+	}
+}
+
+func (d Dest) String() string {
+	if d.IsPattern() {
+		return d.Pattern().String()
+	}
+	return fmt.Sprintf("ptr%v", d.Members(nil, topology.MaxNodes))
 }

@@ -10,7 +10,7 @@ import (
 
 func TestEntryZeroValue(t *testing.T) {
 	var e Entry
-	if e.Reserved() || e.State() != Clean || e.UsesBitPattern() || !e.MapEmpty() {
+	if e.Reserved() || e.State() != Clean || e.Dest().IsPattern() || e.Dest().Count() != 0 {
 		t.Fatalf("zero entry = %v, want clean/unreserved/empty pointer map", e)
 	}
 }
@@ -27,7 +27,7 @@ func TestEntryStateRoundTrip(t *testing.T) {
 	e.MapAdd(7)
 	e.SetReserved(true)
 	e.SetState(Dirty)
-	if !e.MapContains(7) || !e.Reserved() {
+	if !e.Dest().Contains(7) || !e.Reserved() {
 		t.Error("SetState clobbered map or reservation")
 	}
 }
@@ -49,19 +49,19 @@ func TestEntryPointerPhase(t *testing.T) {
 	nodes := []topology.NodeID{10, 20, 30, 40}
 	for i, n := range nodes {
 		e.MapAdd(n)
-		if e.UsesBitPattern() {
+		if e.Dest().IsPattern() {
 			t.Fatalf("switched to bit-pattern at %d sharers", i+1)
 		}
-		if e.MapCount() != i+1 {
-			t.Fatalf("MapCount() = %d after %d adds", e.MapCount(), i+1)
+		if e.Dest().Count() != i+1 {
+			t.Fatalf("MapCount() = %d after %d adds", e.Dest().Count(), i+1)
 		}
 	}
 	for _, n := range nodes {
-		if !e.MapContains(n) {
+		if !e.Dest().Contains(n) {
 			t.Errorf("pointer map lost node %d", n)
 		}
 	}
-	if e.MapContains(15) {
+	if e.Dest().Contains(15) {
 		t.Error("pointer map contains node never added")
 	}
 }
@@ -71,10 +71,10 @@ func TestEntryDuplicateAddIsNoop(t *testing.T) {
 	e.MapAdd(5)
 	e.MapAdd(5)
 	e.MapAdd(5)
-	if e.MapCount() != 1 {
-		t.Fatalf("MapCount() = %d after duplicate adds, want 1", e.MapCount())
+	if e.Dest().Count() != 1 {
+		t.Fatalf("MapCount() = %d after duplicate adds, want 1", e.Dest().Count())
 	}
-	if e.UsesBitPattern() {
+	if e.Dest().IsPattern() {
 		t.Fatal("duplicate adds triggered format switch")
 	}
 }
@@ -85,19 +85,19 @@ func TestEntryDynamicSwitchAtFifthSharer(t *testing.T) {
 	for _, n := range nodes {
 		e.MapAdd(n)
 	}
-	if e.UsesBitPattern() {
+	if e.Dest().IsPattern() {
 		t.Fatal("switched early")
 	}
 	e.MapAdd(164) // fifth sharer: dynamic switch
-	if !e.UsesBitPattern() {
+	if !e.Dest().IsPattern() {
 		t.Fatal("no switch at fifth sharer")
 	}
 	// Figure 3: now 12 nodes represented.
-	if e.MapCount() != 12 {
-		t.Fatalf("MapCount() after switch = %d, want 12", e.MapCount())
+	if e.Dest().Count() != 12 {
+		t.Fatalf("MapCount() after switch = %d, want 12", e.Dest().Count())
 	}
 	for _, n := range append(nodes, 164) {
-		if !e.MapContains(n) {
+		if !e.Dest().Contains(n) {
 			t.Errorf("lost sharer %d across switch", n)
 		}
 	}
@@ -109,11 +109,11 @@ func TestEntryMapSetOnly(t *testing.T) {
 		e.MapAdd(topology.NodeID(i * 13))
 	}
 	e.MapSetOnly(42)
-	if e.UsesBitPattern() {
+	if e.Dest().IsPattern() {
 		t.Fatal("MapSetOnly left bit-pattern format")
 	}
-	if e.MapCount() != 1 || !e.MapContains(42) {
-		t.Fatalf("MapSetOnly: count=%d contains42=%v", e.MapCount(), e.MapContains(42))
+	if e.Dest().Count() != 1 || !e.Dest().Contains(42) {
+		t.Fatalf("MapSetOnly: count=%d contains42=%v", e.Dest().Count(), e.Dest().Contains(42))
 	}
 }
 
@@ -125,7 +125,7 @@ func TestEntryMapClear(t *testing.T) {
 	e.SetState(Dirty)
 	e.SetReserved(true)
 	e.MapClear()
-	if !e.MapEmpty() || e.UsesBitPattern() {
+	if e.Dest().Count() != 0 || e.Dest().IsPattern() {
 		t.Fatal("MapClear did not empty / reset format")
 	}
 	if e.State() != Dirty || !e.Reserved() {
@@ -135,37 +135,19 @@ func TestEntryMapClear(t *testing.T) {
 
 func TestEntryMapIsOnly(t *testing.T) {
 	var e Entry
-	if !e.MapIsOnly(3) {
-		t.Error("empty map: MapIsOnly should be true")
+	if !e.Dest().IsOnly(3) {
+		t.Error("empty map: IsOnly should be true")
 	}
 	e.MapAdd(3)
-	if !e.MapIsOnly(3) {
-		t.Error("single sharer: MapIsOnly(3) should be true")
+	if !e.Dest().IsOnly(3) {
+		t.Error("single sharer: IsOnly(3) should be true")
 	}
-	if e.MapIsOnly(4) {
-		t.Error("MapIsOnly(4) should be false when only 3 registered")
+	if e.Dest().IsOnly(4) {
+		t.Error("IsOnly(4) should be false when only 3 registered")
 	}
 	e.MapAdd(9)
-	if e.MapIsOnly(3) {
-		t.Error("MapIsOnly should be false with two sharers")
-	}
-}
-
-func TestEntryMapHasOthers(t *testing.T) {
-	var e Entry
-	if e.MapHasOthers(1) {
-		t.Error("empty map has no others")
-	}
-	e.MapAdd(1)
-	if e.MapHasOthers(1) {
-		t.Error("only self registered: no others")
-	}
-	if !e.MapHasOthers(2) {
-		t.Error("node 1 registered is an 'other' for node 2")
-	}
-	e.MapAdd(7)
-	if !e.MapHasOthers(1) {
-		t.Error("two sharers: others exist")
+	if e.Dest().IsOnly(3) {
+		t.Error("IsOnly should be false with two sharers")
 	}
 }
 
@@ -174,17 +156,17 @@ func TestEntryDestMatchesFormat(t *testing.T) {
 	e.MapAdd(1)
 	e.MapAdd(2)
 	d := e.Dest()
-	if d.IsPattern {
+	if d.IsPattern() {
 		t.Fatal("pointer-format entry produced pattern dest")
 	}
-	if len(d.Pointers()) != 2 {
-		t.Fatalf("dest pointers = %v", d.Pointers())
+	if d != PointerDest(1, 2) {
+		t.Fatalf("dest = %v, want ptr[n1 n2]", d)
 	}
 	for i := 0; i < 5; i++ {
 		e.MapAdd(topology.NodeID(i * 50))
 	}
 	d = e.Dest()
-	if !d.IsPattern {
+	if !d.IsPattern() {
 		t.Fatal("bit-pattern entry produced pointer dest")
 	}
 	if !d.Contains(1) || !d.Contains(2) {
@@ -194,8 +176,8 @@ func TestEntryDestMatchesFormat(t *testing.T) {
 
 func TestDestSingle(t *testing.T) {
 	d := Single(77)
-	if d.IsPattern || d.Count() != 1 || !d.Contains(77) || d.Contains(78) {
-		t.Fatalf("Single(77) = %+v", d)
+	if d.IsPattern() || d.Count() != 1 || !d.Contains(77) || d.Contains(78) || d.Node() != 77 {
+		t.Fatalf("Single(77) = %v", d)
 	}
 	m := d.Members(nil, 1024)
 	if len(m) != 1 || m[0] != 77 {
@@ -218,14 +200,14 @@ func TestPropertyEntrySupersetAcrossSwitch(t *testing.T) {
 			added[n] = true
 		}
 		for n := range added {
-			if !e.MapContains(n) {
+			if !e.Dest().Contains(n) {
 				return false
 			}
 		}
-		if len(added) <= MaxPointers && e.UsesBitPattern() {
+		if len(added) <= MaxPointers && e.Dest().IsPattern() {
 			return false // must stay precise up to 4 sharers
 		}
-		if len(added) <= MaxPointers && e.MapCount() != len(added) {
+		if len(added) <= MaxPointers && e.Dest().Count() != len(added) {
 			return false
 		}
 		return e.State() == State(stateRaw%5) && e.Reserved() == reserved
@@ -249,7 +231,7 @@ func TestPropertyEntryMembersLimit(t *testing.T) {
 			e.MapAdd(n)
 			added[n] = true
 		}
-		got := e.MapMembers(nil, limit)
+		got := e.Dest().Members(nil, limit)
 		seen := map[topology.NodeID]bool{}
 		for _, n := range got {
 			if int(n) >= limit {
@@ -268,15 +250,15 @@ func TestPropertyEntryMembersLimit(t *testing.T) {
 func TestEntryStringForms(t *testing.T) {
 	var e Entry
 	e.MapAdd(1)
-	if e.String() == "" {
-		t.Error("empty String()")
+	if got, want := e.String(), "dir[C,ptr[n1]]"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 	for i := 0; i < 6; i++ {
 		e.MapAdd(topology.NodeID(i))
 	}
 	e.SetReserved(true)
-	if e.String() == "" {
-		t.Error("empty String() for bit-pattern entry")
+	if got, want := e.String(), "dir[R,C,bp[0001 0001 01 00000000000000000000000000111111]]"; got != want {
+		t.Errorf("bit-pattern String() = %q, want %q", got, want)
 	}
 }
 

@@ -105,11 +105,11 @@ func matchSet(width, pos int, mask, value uint32) uint64 {
 // AnyMatch reports whether any destination node n satisfies
 // n & mask == value.
 func (d Dest) AnyMatch(mask, value uint32) bool {
-	if d.IsPattern {
-		return d.Pattern.AnyMatch(mask, value)
+	if d.IsPattern() {
+		return d.Pattern().AnyMatch(mask, value)
 	}
-	for _, p := range d.ptrs[:d.nptr] {
-		if uint32(p)&mask == value {
+	for w, c := d, d.ptrs(); c > 0; w, c = w>>ptrWidth, c-1 {
+		if uint32(w&ptrMask)&mask == value {
 			return true
 		}
 	}
@@ -120,13 +120,13 @@ func (d Dest) AnyMatch(mask, value uint32) bool {
 //
 //cenju4:hotpath
 func (d Dest) PortMask(mask, value uint32, shift int) uint8 {
-	if d.IsPattern {
-		return d.Pattern.PortMask(mask, value, shift)
+	if d.IsPattern() {
+		return d.Pattern().PortMask(mask, value, shift)
 	}
 	var ports uint8
-	for _, p := range d.ptrs[:d.nptr] {
-		if uint32(p)&mask == value {
-			ports |= 1 << (uint32(p) >> shift & 3)
+	for w, c := d, d.ptrs(); c > 0; w, c = w>>ptrWidth, c-1 {
+		if p := uint32(w & ptrMask); p&mask == value {
+			ports |= 1 << (p >> shift & 3)
 		}
 	}
 	return ports

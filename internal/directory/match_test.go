@@ -25,7 +25,7 @@ func TestAnyMatchAgainstReference(t *testing.T) {
 		for i := 0; i < k; i++ {
 			bp.Add(topology.NodeID(rng.Intn(1024)))
 		}
-		d := Dest{Pattern: bp, IsPattern: true}
+		d := PatternDest(bp)
 		mask := uint32(rng.Intn(1 << 12))
 		value := uint32(rng.Intn(1<<12)) & mask
 		got := d.AnyMatch(mask, value)
@@ -84,7 +84,7 @@ func TestAnyMatchRoutingUseCases(t *testing.T) {
 	var bp BitPattern
 	bp.Add(0)
 	bp.Add(164)
-	d := Dest{Pattern: bp, IsPattern: true}
+	d := PatternDest(bp)
 	// Stage 2 (digit covering bits 7-6): with prefix digits 0,0 chosen,
 	// are there members with digit2 = 2 (bits 7-6 = 10)?
 	if !d.AnyMatch(0b1111000000, 0b0010000000) {
@@ -119,9 +119,9 @@ func TestPortMaskEqualsFourAnyMatch(t *testing.T) {
 			for k := 1 + rng.Intn(90); k > 0; k-- {
 				bp.Add(topology.NodeID(rng.Intn(1 << (3 + rng.Intn(8)))))
 			}
-			d = Dest{Pattern: bp, IsPattern: true}
+			d = PatternDest(bp)
 		default:
-			d = Dest{Pattern: 1<<BitPatternBits - 1, IsPattern: true}
+			d = PatternDest(1<<BitPatternBits - 1)
 		}
 		shift := rng.Intn(13)
 		digit := uint32(3) << shift
@@ -142,3 +142,59 @@ func TestPortMaskEqualsFourAnyMatch(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDestQueries times the per-message node-map queries on the
+// two destination forms the protocol sends: a four-pointer map and the
+// 92-target bit pattern of a 1024-node CG invalidation (one f1 value,
+// two f2, two f3, 23 f4). PortMask runs the gather wait-pattern query
+// of a 5-stage network at every stage.
+func BenchmarkDestQueries(b *testing.B) {
+	var ptr, pat Entry
+	for _, n := range []topology.NodeID{5, 160, 3, 999} {
+		ptr.MapAdd(n)
+	}
+	for f2 := 0; f2 < 2; f2++ {
+		for f3 := 0; f3 < 2; f3++ {
+			for f4 := 0; f4 < 23; f4++ {
+				pat.MapAdd(topology.NodeID(f2<<6 | f3<<5 | f4))
+			}
+		}
+	}
+	if pat.Dest().Count() != 92 {
+		b.Fatalf("pattern destination has %d targets, want 92", pat.Dest().Count())
+	}
+	buf := make([]topology.NodeID, 0, topology.MaxNodes)
+	for _, c := range []struct {
+		name string
+		d    Dest
+	}{{"pointer4", ptr.Dest()}, {"pattern92", pat.Dest()}} {
+		d := c.d
+		b.Run(c.name+"/Members", func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n += len(d.Members(buf[:0], topology.MaxNodes))
+			}
+			sinkInt = n
+		})
+		b.Run(c.name+"/Contains", func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				if d.Contains(topology.NodeID(i & (topology.MaxNodes - 1))) {
+					n++
+				}
+			}
+			sinkInt = n
+		})
+		b.Run(c.name+"/PortMask", func(b *testing.B) {
+			var ports uint8
+			for i := 0; i < b.N; i++ {
+				shift := 2 * (4 - i%5)
+				suffix := uint32(1)<<shift - 1
+				ports ^= d.PortMask(suffix, uint32(i)&suffix, shift)
+			}
+			sinkInt = int(ports)
+		})
+	}
+}
+
+var sinkInt int

@@ -206,7 +206,7 @@ func (m *HierarchicalBitmap) Name() string {
 
 // PointerBitPattern is the Cenju-4 node map as a standalone NodeMap.
 type PointerBitPattern struct {
-	entry Entry
+	dest  Dest
 	total int
 }
 
@@ -215,26 +215,26 @@ func NewPointerBitPattern(totalNodes int) *PointerBitPattern {
 	return &PointerBitPattern{total: totalNodes}
 }
 
-func (m *PointerBitPattern) Add(n topology.NodeID)           { m.entry.MapAdd(n) }
-func (m *PointerBitPattern) Contains(n topology.NodeID) bool { return m.entry.MapContains(n) }
+func (m *PointerBitPattern) Add(n topology.NodeID)           { m.dest = m.dest.Add(n) }
+func (m *PointerBitPattern) Contains(n topology.NodeID) bool { return m.dest.Contains(n) }
 func (m *PointerBitPattern) Count() int {
-	if !m.entry.UsesBitPattern() {
-		return m.entry.MapCount()
+	if !m.dest.IsPattern() {
+		return m.dest.Count()
 	}
 	// Clip the cross product to real nodes.
-	return len(m.entry.MapMembers(nil, m.total))
+	return len(m.dest.Members(nil, m.total))
 }
 func (m *PointerBitPattern) Members(dst []topology.NodeID) []topology.NodeID {
-	return m.entry.MapMembers(dst, m.total)
+	return m.dest.Members(dst, m.total)
 }
-func (m *PointerBitPattern) Clear()    { m.entry.MapClear() }
+func (m *PointerBitPattern) Clear()    { m.dest = 0 }
 func (m *PointerBitPattern) Bits() int { return BitPatternBits }
 func (m *PointerBitPattern) Name() string {
 	return "pointer + bit-pattern (42b)"
 }
 
 // Precise reports whether the map is still in the exact pointer form.
-func (m *PointerBitPattern) Precise() bool { return !m.entry.UsesBitPattern() }
+func (m *PointerBitPattern) Precise() bool { return !m.dest.IsPattern() }
 
 // ---------------------------------------------------------------------
 // Table 1: qualitative scalability characteristics.

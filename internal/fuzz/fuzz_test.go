@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"cenju4/internal/cpu"
 	"cenju4/internal/faults"
 	"cenju4/internal/machine"
+	"cenju4/internal/topology"
 )
 
 // smokeOptions is the bounded sweep wired into `go test`: the full
@@ -256,6 +258,73 @@ func TestGenerateDeterminism(t *testing.T) {
 		}
 		if len(Universe(a)) == 0 {
 			t.Fatalf("%v: empty shared-block universe", p)
+		}
+	}
+}
+
+// TestUniverse: the blocks checkFinal sweeps are the sorted distinct
+// shared blocks the loads and stores touch. Offsets within one block,
+// repeats within a stream and across streams collapse to one entry;
+// private addresses and operations that are not loads or stores add
+// nothing.
+func TestUniverse(t *testing.T) {
+	sh := func(node topology.NodeID, off uint64) topology.Addr { return topology.SharedAddr(node, off) }
+	ld := func(a topology.Addr) cpu.Op { return cpu.Op{Kind: cpu.OpLoad, Addr: a} }
+	st := func(a topology.Addr) cpu.Op { return cpu.Op{Kind: cpu.OpStore, Addr: a} }
+	type universeCase struct {
+		name string
+		ops  [][]cpu.Op
+		want []topology.Addr
+	}
+	// many touches 600 blocks on 8 homes twice, in opposite orders on two
+	// streams: more distinct blocks than any small filter holds.
+	many := func() universeCase {
+		c := universeCase{name: "600 blocks, each twice", ops: make([][]cpu.Op, 2)}
+		for i := 0; i < 600; i++ {
+			c.want = append(c.want, sh(topology.NodeID(i/75), uint64(i%75)*topology.BlockSize))
+		}
+		for i := range c.want {
+			c.ops[0] = append(c.ops[0], ld(c.want[i]))
+			c.ops[1] = append(c.ops[1], st(c.want[len(c.want)-1-i]+1))
+		}
+		return c
+	}
+	for _, tc := range []universeCase{
+		{"empty", nil, nil},
+		{"no streams with accesses", [][]cpu.Op{{}, {{Kind: cpu.OpCompute, N: 5}}}, nil},
+		{
+			"duplicates within a stream",
+			[][]cpu.Op{{st(sh(3, 0x200)), ld(sh(3, 0x208)), ld(sh(1, 0x80)), st(sh(3, 0x27f))}},
+			[]topology.Addr{sh(1, 0x80), sh(3, 0x200)},
+		},
+		{
+			"duplicates across streams",
+			[][]cpu.Op{
+				{ld(sh(2, 0x100)), st(sh(0, 0))},
+				{st(sh(2, 0x100)), ld(sh(0, 0x10))},
+				{ld(sh(5, 0x4000))},
+			},
+			[]topology.Addr{sh(0, 0), sh(2, 0x100), sh(5, 0x4000)},
+		},
+		{
+			"private addresses skipped",
+			[][]cpu.Op{{ld(topology.PrivateAddr(0x100)), st(topology.PrivateAddr(0x80)), ld(sh(4, 0x80))}},
+			[]topology.Addr{sh(4, 0x80)},
+		},
+		{
+			"non-load/store ops skipped",
+			[][]cpu.Op{{
+				{Kind: cpu.OpCompute, N: 10, Addr: sh(6, 0)},
+				{Kind: cpu.OpBarrier, N: 1, Addr: sh(6, 0x80)},
+				{Kind: cpu.OpSend, Addr: sh(6, 0x100), Dst: 1},
+				st(sh(7, 0x180)),
+			}},
+			[]topology.Addr{sh(7, 0x180)},
+		},
+		many(),
+	} {
+		if got := Universe(tc.ops); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Universe = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -263,24 +263,27 @@ func Generate(p Pattern, seed uint64, nodes, ops int) [][]cpu.Op {
 }
 
 // Universe returns the sorted distinct shared blocks touched by ops,
-// for the oracle's final convergence sweep.
+// for the oracle's final convergence sweep. A case touches a few dozen
+// blocks thousands of times, so a direct-mapped filter of recently seen
+// blocks drops most repeats before the sort; the repeats it lets through
+// (two blocks hashing to one slot) Compact removes. A shared block is
+// never zero, so the empty slots match nothing.
 func Universe(ops [][]cpu.Op) []topology.Addr {
-	seen := make(map[topology.Addr]bool)
+	var recent [256]topology.Addr
 	var blocks []topology.Addr
 	for _, stream := range ops {
 		for _, op := range stream {
-			if op.Kind != cpu.OpLoad && op.Kind != cpu.OpStore {
-				continue
-			}
-			b := op.Addr.Block()
-			if op.Addr.Shared() && !seen[b] {
-				seen[b] = true
-				blocks = append(blocks, b)
+			if (op.Kind == cpu.OpLoad || op.Kind == cpu.OpStore) && op.Addr.Shared() {
+				b := op.Addr.Block()
+				if slot := &recent[uint64(b)*0x9e3779b97f4a7c15>>56]; *slot != b {
+					*slot = b
+					blocks = append(blocks, b)
+				}
 			}
 		}
 	}
 	slices.Sort(blocks)
-	return blocks
+	return slices.Compact(blocks)
 }
 
 // CountOps tallies loads and stores across all streams.

@@ -117,7 +117,7 @@ func (m *Machine) validateBlock(addr topology.Addr, e *directory.Entry, copies [
 			owner = n
 		case cache.Shared:
 			sharers++
-			if !updateMode && !e.MapContains(n) {
+			if !updateMode && !e.Dest().Contains(n) {
 				return fmt.Errorf("block %v: node %d holds S but is absent from the node map %v", addr, n, *e)
 			}
 		case cache.Invalid:
@@ -137,12 +137,12 @@ func (m *Machine) validateBlock(addr topology.Addr, e *directory.Entry, copies [
 		if e.State() != directory.Dirty {
 			return fmt.Errorf("block %v: owner %v but directory state %v", addr, owner, e.State())
 		}
-		if !e.MapContains(owner) {
+		if !e.Dest().Contains(owner) {
 			return fmt.Errorf("block %v: owner %v absent from node map %v", addr, owner, *e)
 		}
 	}
 	if e.State() == directory.Dirty {
-		if n := len(e.MapMembers(nil, m.cfg.Nodes)); n != 1 {
+		if n := len(e.Dest().Members(nil, m.cfg.Nodes)); n != 1 {
 			return fmt.Errorf("block %v: dirty with %d registered nodes", addr, n)
 		}
 	}

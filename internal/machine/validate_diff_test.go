@@ -58,7 +58,7 @@ func (m *Machine) validateBlockProbe(addr topology.Addr, e *directory.Entry) err
 			owner = topology.NodeID(n)
 		case cache.Shared:
 			sharers++
-			if !updateMode && !e.MapContains(topology.NodeID(n)) {
+			if !updateMode && !e.Dest().Contains(topology.NodeID(n)) {
 				return fmt.Errorf("block %v: node %d holds S but is absent from the node map %v", addr, n, *e)
 			}
 		case cache.Invalid:
@@ -77,12 +77,12 @@ func (m *Machine) validateBlockProbe(addr topology.Addr, e *directory.Entry) err
 		if e.State() != directory.Dirty {
 			return fmt.Errorf("block %v: owner %v but directory state %v", addr, owner, e.State())
 		}
-		if !e.MapContains(owner) {
+		if !e.Dest().Contains(owner) {
 			return fmt.Errorf("block %v: owner %v absent from node map %v", addr, owner, *e)
 		}
 	}
 	if e.State() == directory.Dirty {
-		if n := len(e.MapMembers(nil, m.cfg.Nodes)); n != 1 {
+		if n := len(e.Dest().Members(nil, m.cfg.Nodes)); n != 1 {
 			return fmt.Errorf("block %v: dirty with %d registered nodes", addr, n)
 		}
 	}
@@ -210,7 +210,7 @@ func TestValidateMatchesProbeOnRandomStates(t *testing.T) {
 		for b := 0; b < 1+rng.Intn(12); b++ {
 			a := topology.SharedAddr(topology.NodeID(rng.Intn(nodes)), uint64(rng.Intn(16))*topology.BlockSize)
 			e := m.ctrls[a.Home()].Memory().Entry(a)
-			if e.MapEmpty() && rng.Intn(4) == 0 {
+			if e.Dest().Count() == 0 && rng.Intn(4) == 0 {
 				owner := rng.Intn(nodes)
 				e.SetState(directory.Dirty)
 				e.MapSetOnly(topology.NodeID(owner))

@@ -11,7 +11,7 @@ func TestEntryAllocation(t *testing.T) {
 	m := New(3)
 	a := topology.SharedAddr(3, 0x1000)
 	e := m.Entry(a)
-	if e.State() != directory.Clean || !e.MapEmpty() {
+	if e.State() != directory.Clean || e.Dest().Count() != 0 {
 		t.Fatalf("fresh entry = %v, want clean empty", *e)
 	}
 	e.MapAdd(7)

@@ -2,10 +2,29 @@ package msg
 
 import (
 	"testing"
+	"unsafe"
 
 	"cenju4/internal/directory"
 	"cenju4/internal/topology"
 )
+
+// TestMessageSize pins the records every send copies: a Dest is the
+// directory entry's 60-bit map word in one uint64, so a Message is 72
+// bytes and a Gather 32.
+func TestMessageSize(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"directory.Dest", unsafe.Sizeof(directory.Dest(0)), 8},
+		{"Message", unsafe.Sizeof(Message{}), 72},
+		{"Gather", unsafe.Sizeof(Gather{}), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
 
 func TestKindClassification(t *testing.T) {
 	cases := []struct {

@@ -93,7 +93,7 @@ func BenchmarkGatherMerge(b *testing.B) {
 			spec.Add(topology.NodeID(hi | lo))
 		}
 	}
-	dest := directory.Dest{Pattern: spec, IsPattern: true}
+	dest := directory.PatternDest(spec)
 	if got := len(dest.Members(nil, nodes)); got != 92 {
 		b.Fatalf("destination has %d targets, want 92", got)
 	}

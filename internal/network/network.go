@@ -202,7 +202,7 @@ func (n *Network) runDelivery(m *msg.Message) {
 		}
 		return
 	}
-	n.handlers[m.Dest.Pointers()[0]](m)
+	n.handlers[m.Dest.Node()](m)
 	n.cfg.Pool.Put(m)
 	if g != nil {
 		n.freeGroups = append(n.freeGroups, g)
@@ -344,7 +344,7 @@ func (n *Network) walkUnicast(src, dst int, t sim.Time, data bool) sim.Time {
 //
 //cenju4:hotpath
 func (n *Network) deliver(m *msg.Message, t sim.Time) {
-	node := m.Dest.Pointers()[0]
+	node := m.Dest.Node()
 	if n.handlers[node] == nil {
 		panic(fmt.Sprintf("network: no handler attached at %v", node))
 	}
@@ -407,7 +407,7 @@ func (n *Network) Send(m *msg.Message) {
 	case len(members) == 0:
 		panic("network: message with empty destination")
 	case len(members) == 1:
-		if m.Dest.IsPattern {
+		if m.Dest.IsPattern() {
 			// A one-member bit pattern (all nodes of a 1-node machine)
 			// travels as the singlecast it is.
 			m.Dest = directory.Single(members[0])
@@ -417,7 +417,7 @@ func (n *Network) Send(m *msg.Message) {
 	default:
 		if n.cfg.Multicast {
 			n.stats.Multicasts++
-			if !m.Dest.IsPattern {
+			if !m.Dest.IsPattern() {
 				// A pointer list is in insertion order (at most four
 				// entries); bit-pattern decodes are already ascending.
 				slices.Sort(members)

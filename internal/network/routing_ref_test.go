@@ -251,7 +251,7 @@ func randomDest(rng *rand.Rand, nodes int) directory.Dest {
 		return directory.AllNodes(nodes)
 	default:
 		if nodes == topology.MaxNodes {
-			return directory.Dest{Pattern: 1<<directory.BitPatternBits - 1, IsPattern: true}
+			return directory.PatternDest(1<<directory.BitPatternBits - 1)
 		}
 		return directory.AllNodes(nodes)
 	}
